@@ -2,7 +2,7 @@ open Stx_util
 open Stx_core
 open Stx_sim
 open Stx_workloads
-module J = Stx_metrics.Json
+module J = Stx_util.Json
 module Mreg = Stx_metrics.Registry
 module Hist = Stx_metrics.Hist
 module Collect = Stx_metrics.Collect

@@ -26,19 +26,6 @@ let m_stm_vcycles = "stx_stm_validation_cycles"
 let outcome_commit = [ ("outcome", "commit") ]
 let outcome_abort = [ ("outcome", "abort") ]
 
-let kind_label = function
-  | Machine.Conflict -> "conflict"
-  | Machine.Lock_subscription -> "lock_subscription"
-  | Machine.Capacity -> "capacity"
-  | Machine.Explicit -> "explicit"
-  | Machine.Stm_conflict -> "stm_conflict"
-
-let stm_kind_label = function
-  | Machine.Stm_validation -> "stm_validation"
-  | Machine.Stm_hw_owned -> "stm_hw_owned"
-  | Machine.Stm_locksub -> "stm_lock_subscription"
-  | Machine.Stm_explicit -> "stm_explicit"
-
 type phase = Prefix | Lock_wait | Suffix | Irrevocable | Stm | Backoff | Wasted
 
 let phases = [ Prefix; Lock_wait; Suffix; Irrevocable; Stm; Backoff; Wasted ]
@@ -55,27 +42,9 @@ let phase_label = function
 let phase_labels ~ab p =
   [ ("ab", string_of_int ab); ("phase", phase_label p) ]
 
-(* --- the per-thread replay state machine ------------------------------ *)
-
-(* One in-flight hardware or irrevocable attempt, as reconstructed from
-   the stream. Timestamps are the emitting thread's local clock. *)
-type attempt = {
-  at_ab : int;
-  at_attempt : int;
-  mutable at_first_acquire : int option;  (* first advisory-lock acquire *)
-  mutable at_wait_since : int option;  (* open Lock_waiting episode *)
-  mutable at_wait : int;  (* completed episode cycles this attempt *)
-}
-
-type tstate = {
-  mutable cur : attempt option;
-  mutable backoff_since : int option;
-  mutable cur_ab : int;  (* for attributing backoff between attempts *)
-}
-
 type t = {
   reg : Registry.t;
-  threads : (int, tstate) Hashtbl.t;
+  lc : Lifecycle.t;
   pol : (string * string) list;
       (* the policy label, appended to every series this collector writes *)
 }
@@ -83,184 +52,109 @@ type t = {
 let create ?(policy = Stx_policy.default) () =
   {
     reg = Registry.create ();
-    threads = Hashtbl.create 16;
+    lc = Lifecycle.create ();
     pol = [ ("policy", Stx_policy.label policy) ];
   }
 
 let registry t = t.reg
 
-let tstate t tid =
-  match Hashtbl.find_opt t.threads tid with
-  | Some st -> st
-  | None ->
-    let st = { cur = None; backoff_since = None; cur_ab = 0 } in
-    Hashtbl.add t.threads tid st;
-    st
-
 let add_phase t ~ab p c =
   if c > 0 then Registry.inc t.reg ~by:c m_phase (phase_labels ~ab p @ t.pol)
-
-(* close an open wait episode, returning its span *)
-let end_wait a ~time =
-  match a.at_wait_since with
-  | None -> None
-  | Some t0 ->
-    a.at_wait_since <- None;
-    let d = time - t0 in
-    a.at_wait <- a.at_wait + d;
-    Some d
 
 let handler t ~time ev =
   (* every series carries the collector's policy label *)
   let inc ?by name labels = Registry.inc t.reg ?by name (labels @ t.pol) in
   let observe name labels v = Registry.observe t.reg name (labels @ t.pol) v in
-  match (ev : Machine.event) with
-  | Machine.Tx_begin { tid; ab; attempt; probe = _ } ->
-    let st = tstate t tid in
-    st.cur <-
-      Some
-        {
-          at_ab = ab;
-          at_attempt = attempt;
-          at_first_acquire = None;
-          at_wait_since = None;
-          at_wait = 0;
-        };
-    st.cur_ab <- ab
-  | Machine.Lock_waiting { tid; lock = _ } -> (
-    let st = tstate t tid in
-    match st.cur with Some a -> a.at_wait_since <- Some time | None -> ())
-  | Machine.Lock_acquired { tid; lock = _; line = _ } -> (
+  (* attempt and wait-episode spans close from the state before [ev] *)
+  let th = Lifecycle.thread t.lc (Lifecycle.event_tid ev) in
+  let in_attempt = th.Lifecycle.ab >= 0 in
+  let close_wait outcome =
+    (* episodes are tracked inside attempts only; an abort lands mid-spin
+       when the victim was doomed while queued, and the episode's tail
+       (plus abort costs charged before emission) is already inside the
+       wasted cycles *)
+    if in_attempt && th.Lifecycle.wait_lock >= 0 then
+      observe m_lock_wait [ ("outcome", outcome) ] (time - th.Lifecycle.wait_since)
+  in
+  (match (ev : Machine.event) with
+  | Machine.Tx_begin _ | Machine.Stm_begin _ | Machine.Lock_waiting _
+  | Machine.Lock_released _ | Machine.Backoff_start _ ->
+    ()
+  | Machine.Lock_acquired _ ->
     inc m_lock_acquires [];
-    let st = tstate t tid in
-    match st.cur with
-    | Some a ->
-      (match end_wait a ~time with
-      | Some d -> observe m_lock_wait [ ("outcome", "acquired") ] d
-      | None -> ());
-      if a.at_first_acquire = None then a.at_first_acquire <- Some time
-    | None -> ())
-  | Machine.Lock_timeout { tid; lock = _ } -> (
+    close_wait "acquired"
+  | Machine.Lock_timeout _ ->
     inc m_lock_timeouts [];
-    let st = tstate t tid in
-    match st.cur with
-    | Some a -> (
-      match end_wait a ~time with
-      | Some d -> observe m_lock_wait [ ("outcome", "timeout") ] d
-      | None -> ())
-    | None -> ())
+    close_wait "timeout"
   | Machine.Lock_attempt _ -> inc m_lock_attempts []
-  | Machine.Lock_released _ -> ()
-  | Machine.Tx_commit { tid; ab; cycles; irrevocable; rset; wset; probe = _ } ->
+  | Machine.Tx_commit { ab; cycles; irrevocable; rset; wset; _ } ->
     inc m_commits [];
     observe m_latency outcome_commit cycles;
     observe m_rset outcome_commit rset;
     observe m_wset outcome_commit wset;
-    let st = tstate t tid in
-    (match st.cur with
-    | Some a ->
-      observe m_retries [] a.at_attempt;
+    if not in_attempt then begin
+      (* commit without a begin: degraded stream; count everything as
+         prefix so the cycle identities still hold *)
+      observe m_retries [] 0;
+      add_phase t ~ab (if irrevocable then Irrevocable else Prefix) cycles
+    end
+    else begin
+      observe m_retries [] th.Lifecycle.attempt;
       if irrevocable then begin
         observe m_irrevocable [] cycles;
         add_phase t ~ab Irrevocable cycles
       end
       else begin
-        (* a commit cannot be reached mid-spin, but fold a dangling
-           episode in rather than lose the cycles *)
-        ignore (end_wait a ~time);
-        let suffix =
-          match a.at_first_acquire with Some acq -> time - acq | None -> 0
-        in
-        let prefix = cycles - a.at_wait - suffix in
-        add_phase t ~ab Prefix prefix;
-        add_phase t ~ab Lock_wait a.at_wait;
+        let acq = th.Lifecycle.first_acquire in
+        let suffix = if acq >= 0 then time - acq else 0 in
+        add_phase t ~ab Prefix (cycles - th.Lifecycle.waited - suffix);
+        add_phase t ~ab Lock_wait th.Lifecycle.waited;
         add_phase t ~ab Suffix suffix
       end
-    | None ->
-      (* commit without a begin: degraded stream; count everything as
-         prefix so the cycle identities still hold *)
-      observe m_retries [] 0;
-      add_phase t ~ab (if irrevocable then Irrevocable else Prefix) cycles);
-    st.cur <- None
-  | Machine.Tx_abort
-      { tid; ab; kind; cycles; rset; wset; conf_line = _; conf_pc = _;
-        aggressor = _; probe = _ } ->
-    inc m_aborts [ ("kind", kind_label kind) ];
+    end
+  | Machine.Tx_abort { ab; kind; cycles; rset; wset; _ } ->
+    inc m_aborts [ ("kind", Lifecycle.abort_label kind) ];
     observe m_latency outcome_abort cycles;
     observe m_rset outcome_abort rset;
     observe m_wset outcome_abort wset;
     add_phase t ~ab Wasted cycles;
-    let st = tstate t tid in
-    (match st.cur with
-    | Some a -> (
-      (* an abort lands mid-spin when the victim was doomed while
-         queued; the episode's tail (plus abort costs charged before
-         emission) is already inside the wasted cycles *)
-      match end_wait a ~time with
-      | Some d -> observe m_lock_wait [ ("outcome", "aborted") ] d
-      | None -> ())
-    | None -> ());
-    st.cur <- None;
-    st.cur_ab <- ab
-  | Machine.Tx_irrevocable { tid; ab } ->
-    inc m_irrevocable_entries [];
-    (tstate t tid).cur_ab <- ab
+    close_wait "aborted"
+  | Machine.Tx_irrevocable _ -> inc m_irrevocable_entries []
   | Machine.Alp_executed { fired; _ } ->
     inc m_alps_executed [];
     if fired then inc m_alps_fired []
-  | Machine.Backoff_start { tid } -> (tstate t tid).backoff_since <- Some time
-  | Machine.Backoff_end { tid } -> (
-    let st = tstate t tid in
-    match st.backoff_since with
-    | Some t0 ->
-      st.backoff_since <- None;
-      let d = time - t0 in
-      observe m_backoff [] d;
-      add_phase t ~ab:st.cur_ab Backoff d
-    | None -> ())
+  | Machine.Backoff_end _ ->
+    let t0 = th.Lifecycle.backoff_since in
+    if t0 >= 0 then begin
+      observe m_backoff [] (time - t0);
+      add_phase t ~ab:th.Lifecycle.last_ab Backoff (time - t0)
+    end
   | Machine.Req_dispatch _ | Machine.Req_done _ ->
     (* request lifecycle is the serving harness's plane (Stx_serve); the
        transaction-level registry ignores it so serve and closed-loop
        runs of one workload stay directly comparable *)
     ()
-  | Machine.Stm_begin { tid; ab; attempt } ->
-    let st = tstate t tid in
-    st.cur <-
-      Some
-        {
-          at_ab = ab;
-          at_attempt = attempt;
-          at_first_acquire = None;
-          at_wait_since = None;
-          at_wait = 0;
-        };
-    st.cur_ab <- ab
-  | Machine.Stm_commit { tid; ab; cycles; vcycles; rset; wset } ->
+  | Machine.Stm_commit { ab; cycles; vcycles; rset; wset; _ } ->
     inc m_commits [];
     inc m_stm_commits [];
     if vcycles > 0 then inc ~by:vcycles m_stm_vcycles [];
     observe m_latency outcome_commit cycles;
     observe m_rset outcome_commit rset;
     observe m_wset outcome_commit wset;
-    let st = tstate t tid in
-    (match st.cur with
-    | Some a -> observe m_retries [] a.at_attempt
-    | None -> observe m_retries [] 0);
+    observe m_retries [] (if in_attempt then th.Lifecycle.attempt else 0);
     (* the whole software attempt is one phase: its validation traffic is
        reported through m_stm_vcycles, not a phase split *)
-    add_phase t ~ab Stm cycles;
-    st.cur <- None
-  | Machine.Stm_abort { tid; ab; kind; cycles; vcycles; rset; wset } ->
-    inc m_aborts [ ("kind", stm_kind_label kind) ];
-    inc m_stm_aborts [ ("kind", stm_kind_label kind) ];
+    add_phase t ~ab Stm cycles
+  | Machine.Stm_abort { ab; kind; cycles; vcycles; rset; wset; _ } ->
+    let kind = [ ("kind", Lifecycle.stm_abort_label kind) ] in
+    inc m_aborts kind;
+    inc m_stm_aborts kind;
     if vcycles > 0 then inc ~by:vcycles m_stm_vcycles [];
     observe m_latency outcome_abort cycles;
     observe m_rset outcome_abort rset;
     observe m_wset outcome_abort wset;
-    add_phase t ~ab Wasted cycles;
-    let st = tstate t tid in
-    st.cur <- None;
-    st.cur_ab <- ab
+    add_phase t ~ab Wasted cycles);
+  ignore (Lifecycle.step t.lc th ~time ev)
 
 let of_trace ?policy tr =
   let t = create ?policy () in

@@ -5,8 +5,9 @@ open Stx_sim
 
     The same fold runs in two places — online, composed onto a live run's
     [on_event] hook, and offline, replaying a full {!Stx_trace.Trace}
-    capture ({!of_trace}). Because both paths execute this one state
-    machine over the same stream, the two registries must be {b equal},
+    capture ({!of_trace}). Because both paths execute this one fold, over
+    the per-thread attempt state of {!Stx_sim.Lifecycle}, on the same
+    stream, the two registries must be {b equal},
     and {!check} reconciles either of them against the run's [Stats] with
     the same discipline as [Trace.check]: exact equalities wherever the
     simulator's accounting permits, explicit inequalities where it does

@@ -1,3 +1,5 @@
+module Json = Stx_util.Json
+
 type labels = (string * string) list
 type value = Counter of int | Gauge of int | Histogram of Hist.t
 

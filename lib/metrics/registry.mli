@@ -66,7 +66,7 @@ val schema_version : int
 (** Version stamped into the JSON snapshot ({b 1}). Bump on any change
     to the snapshot's shape. *)
 
-val to_json : t -> Json.t
+val to_json : t -> Stx_util.Json.t
 val to_json_string : t -> string
 (** The snapshot document:
     [{"schema":"stx-metrics","version":1,"metrics":[...]}] with one

@@ -1,5 +1,5 @@
 module Hist = Stx_metrics.Hist
-module Json = Stx_metrics.Json
+module Json = Stx_util.Json
 
 type window = {
   hw_commits : int;
