@@ -1,14 +1,11 @@
-(* The benchmark harness.
-
-   Part 1 (Bechamel): one Test.make per table/figure of the paper - each
-   regenerates that table/figure at a reduced workload scale so the
+(* Bechamel micro-benchmarks: one Test.make per table/figure of the
+   paper, each regenerating it at a reduced workload scale so the
    end-to-end cost of the experiment pipeline (compile + simulate +
-   report) is measured; plus micro-benchmarks of the simulator's hot
-   primitives.
+   report) is measured, plus the simulator's hot primitives.
 
-   Part 2: the full-scale reproduction of every table and figure, printed
-   so `dune exec bench/main.exe` leaves the complete evaluation in its
-   output. *)
+   The full-scale reproduction is `stx_repro all`, a traced reference run
+   is `stx_run --trace FILE [--policy LABEL]`, and the simulator-core
+   events/sec series is `stx_repro bench`. *)
 
 open Bechamel
 open Toolkit
@@ -54,7 +51,7 @@ let micro_tests =
     Test.make ~name:"rng next" (Staged.stage (fun () -> ignore (Stx_util.Rng.next rng)));
   ]
 
-let run_bechamel () =
+let () =
   let benchmark test =
     let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 1.0) ~kde:None () in
     Benchmark.all cfg Instance.[ monotonic_clock ] test
@@ -78,98 +75,3 @@ let run_bechamel () =
   in
   report "experiment pipeline (micro scale)" table_tests;
   report "simulator primitives" micro_tests
-
-let run_full ~jobs () =
-  (* no result store here: the point of this driver is to exercise the
-     whole pipeline, but the sweep itself fans out over the domain pool *)
-  let c = Stx_harness.Exp.create ~seed:1 ~scale:1.0 ~threads:16 ~jobs () in
-  Stx_harness.Exp.prefetch ~progress:true c
-    (Stx_harness.Exp.standard_cells c @ Stx_harness.Reports.table3_cells c);
-  let section title body = Printf.printf "\n==== %s ====\n%s\n%!" title body in
-  section "Table 2 (simulator configuration)" (Stx_harness.Reports.table2 ());
-  section "Figure 1 (staggering schematic, from real runs)"
-    (Stx_harness.Reports.fig1 ());
-  section "Table 1 (baseline HTM contention)" (Stx_harness.Reports.table1 c);
-  section "Table 3 (instrumentation statistics)" (Stx_harness.Reports.table3 c);
-  section "Table 4 (benchmark characteristics)" (Stx_harness.Reports.table4 c);
-  section "Figure 7 (performance comparison)" (Stx_harness.Reports.fig7 c);
-  section "Figure 8 (aborts and wasted cycles)" (Stx_harness.Reports.fig8 c);
-  section "Serialization granularity (Result 2)" (Stx_harness.Reports.granularity c)
-
-(* --trace FILE: run the reference workload once with a full-capture
-   trace, export Chrome trace_event JSON and reconcile stream vs stats;
-   --policy LABEL reruns it under a non-default HTM policy bundle *)
-let run_traced ~policy ~file () =
-  let open Stx_workloads in
-  let w =
-    match Registry.find "list-hi" with
-    | Some w -> w
-    | None -> failwith "list-hi workload missing from the registry"
-  in
-  let threads = 8 in
-  let tr = Stx_trace.Trace.create ~threads () in
-  let mode = Stx_core.Mode.Staggered_hw in
-  let spec = Workload.spec ~instrument:(Stx_core.Mode.uses_alps mode) ~scale:1.0 w in
-  let stats =
-    Stx_sim.Machine.run ~seed:1 ~htm_policy:policy
-      ~cfg:(Stx_machine.Config.with_cores threads Stx_machine.Config.default)
-      ~mode
-      ~on_event:(Stx_trace.Trace.handler tr)
-      spec
-  in
-  Stx_trace.Trace.write_chrome tr ~file;
-  Printf.printf "trace: %d events (%d commits, %d aborts) -> %s\n%!"
-    (Stx_trace.Trace.length tr) stats.Stx_sim.Stats.commits
-    stats.Stx_sim.Stats.aborts file;
-  match Stx_trace.Trace.check tr stats with
-  | Ok () -> Printf.printf "trace check: ok\n%!"
-  | Error errs ->
-    Printf.printf "trace check: FAILED\n";
-    List.iter (fun e -> Printf.printf "  %s\n" e) errs;
-    exit 1
-
-let () =
-  let skip_bechamel = Array.mem "--tables-only" Sys.argv in
-  let flag_value name =
-    let rec find i =
-      if i + 1 >= Array.length Sys.argv then None
-      else if Sys.argv.(i) = name then Some Sys.argv.(i + 1)
-      else find (i + 1)
-    in
-    find 1
-  in
-  let jobs =
-    (* --jobs N: domain-pool width for the full reproduction part *)
-    match flag_value "--jobs" with
-    | None -> Domain.recommended_domain_count ()
-    | Some v -> (
-      match int_of_string_opt v with
-      | Some n when n >= 1 -> n
-      | _ -> failwith "--jobs expects a positive integer")
-  in
-  let policy =
-    match flag_value "--policy" with
-    | None -> Stx_policy.default
-    | Some l -> (
-      match Stx_policy.of_label l with
-      | Ok p -> p
-      | Error e -> failwith ("--policy: " ^ e))
-  in
-  if Array.mem "--sim-speed" Sys.argv then begin
-    let scale =
-      match flag_value "--scale" with
-      | None -> 0.2
-      | Some v -> (
-        match float_of_string_opt v with
-        | Some f when f > 0.0 -> f
-        | _ -> failwith "--scale expects a positive float")
-    in
-    let entries = Stx_harness.Bench.sim_suite ~scale () in
-    print_string (Stx_harness.Bench.render_sim entries)
-  end
-  else
-    match flag_value "--trace" with
-    | Some file -> run_traced ~policy ~file ()
-    | None ->
-      if not skip_bechamel then run_bechamel ();
-      run_full ~jobs ()
