@@ -16,11 +16,11 @@ let seed_arg =
 let scale_arg =
   Arg.(
     value
-    & opt float 1.0
+    & opt Stx_cli.pos_float 1.0
     & info [ "scale" ] ~doc:"Workload size multiplier (1.0 = default inputs).")
 
 let threads_arg =
-  Arg.(value & opt int 16 & info [ "threads" ] ~doc:"Simulated cores/threads.")
+  Arg.(value & opt Stx_cli.pos_int 16 & info [ "threads" ] ~doc:"Simulated cores/threads.")
 
 let jobs_arg =
   Arg.(
@@ -736,7 +736,7 @@ let serve_cmd =
   let cores_arg =
     Arg.(
       value
-      & opt string ""
+      & opt (list Stx_cli.pos_int) []
       & info [ "cores" ]
           ~doc:
             "Comma-separated core counts to sweep (e.g. 16,32,64,128); \
@@ -749,7 +749,7 @@ let serve_cmd =
       & info [ "shard-by" ]
           ~doc:"Shard the request stream by $(b,seed) or by $(b,key) range.")
   in
-  let run bench rates_s keys_s horizon shards threads seed jobs cores_s
+  let run bench rates_s keys_s horizon shards threads seed jobs cores
       shard_by_s =
     let die msg =
       prerr_endline msg;
@@ -778,16 +778,7 @@ let serve_cmd =
           | _ -> die ("bad rate: " ^ r))
         (String.split_on_char ',' rates_s)
     in
-    let cores_list =
-      if cores_s = "" then [ threads ]
-      else
-        List.map
-          (fun c ->
-            match int_of_string_opt (String.trim c) with
-            | Some n when n >= 1 -> n
-            | _ -> die ("bad core count: " ^ c))
-          (String.split_on_char ',' cores_s)
-    in
+    let cores_list = if cores = [] then [ threads ] else cores in
     let modes =
       [ Stx_core.Mode.Baseline; Stx_core.Mode.Addr_only;
         Stx_core.Mode.Staggered_sw; Stx_core.Mode.Staggered_hw ]

@@ -322,11 +322,11 @@ let () =
       & info [ "mode"; "m" ] ~doc:"HTM | AddrOnly | Staggered+SW | Staggered.")
   in
   let threads_arg =
-    Arg.(value & opt int 16 & info [ "threads"; "t" ] ~doc:"Simulated threads.")
+    Arg.(value & opt Stx_cli.pos_int 16 & info [ "threads"; "t" ] ~doc:"Simulated threads.")
   in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Seed.") in
   let scale_arg =
-    Arg.(value & opt float 1.0 & info [ "scale" ] ~doc:"Workload scale.")
+    Arg.(value & opt Stx_cli.pos_float 1.0 & info [ "scale" ] ~doc:"Workload scale.")
   in
   let trace_arg =
     Arg.(

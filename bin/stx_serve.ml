@@ -171,7 +171,7 @@ let () =
       & info [ "horizon" ] ~doc:"Cycles during which requests arrive.")
   in
   let threads_arg =
-    Arg.(value & opt int 16 & info [ "threads"; "t" ] ~doc:"Cores per shard.")
+    Arg.(value & opt Stx_cli.pos_int 16 & info [ "threads"; "t" ] ~doc:"Cores per shard.")
   in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Seed.") in
   let shards_arg =
