@@ -25,7 +25,7 @@ let threads_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Domain.recommended_domain_count ())
+    & opt Stx_cli.pos_int (Domain.recommended_domain_count ())
     & info [ "jobs"; "j" ]
         ~doc:
           "Simulations to run in parallel (OCaml domains). Defaults to the \
@@ -46,51 +46,6 @@ let no_cache_arg =
     & flag
     & info [ "no-cache" ] ~doc:"Neither read nor write the on-disk result store.")
 
-let policy_term =
-  let policy_arg =
-    Arg.(
-      value
-      & opt string "requester-wins"
-      & info [ "policy" ]
-          ~doc:
-            "Conflict-resolution policy: $(b,requester-wins), \
-             $(b,responder-wins) or $(b,timestamp).")
-  in
-  let capacity_arg =
-    Arg.(
-      value
-      & opt string "unbounded"
-      & info [ "capacity" ]
-          ~doc:
-            "HTM capacity policy: $(b,unbounded) or $(b,bounded:R:W) (hard \
-             read/write-set line budgets).")
-  in
-  let fallback_arg =
-    Arg.(
-      value
-      & opt string "polite"
-      & info [ "fallback" ]
-          ~doc:
-            "Fallback policy: $(b,polite[:N]), \
-             $(b,backoff[:N[:BASE[:MAXEXP[:SEED]]]]), or \
-             $(b,htm-stm-lock[:N[:S]]) (alias $(b,stm)).")
-  in
-  let make p cap f =
-    let axis flag parse v =
-      match parse v with
-      | Ok x -> x
-      | Error msg ->
-        Printf.eprintf "bad --%s %s: %s\n" flag v msg;
-        exit 1
-    in
-    Stx_policy.make
-      ~resolution:(axis "policy" Stx_policy.Resolution.of_string p)
-      ~capacity:(axis "capacity" Stx_policy.Capacity.of_string cap)
-      ~fallback:(axis "fallback" Stx_policy.Fallback.of_string f)
-      ()
-  in
-  Term.(const make $ policy_arg $ capacity_arg $ fallback_arg)
-
 let ctx_term =
   let make seed scale threads jobs cache_dir no_cache policy =
     let store =
@@ -100,7 +55,7 @@ let ctx_term =
   in
   Term.(
     const make $ seed_arg $ scale_arg $ threads_arg $ jobs_arg $ cache_dir_arg
-    $ no_cache_arg $ policy_term)
+    $ no_cache_arg $ Stx_cli.policy_term)
 
 let section title body =
   Printf.printf "==== %s ====\n%s\n%!" title body
@@ -123,26 +78,23 @@ let table2_cmd =
 let bench_arg =
   Arg.(
     value
-    & opt string "genome"
+    & opt Stx_cli.bench Stx_workloads.W_genome.bench
     & info [ "bench" ] ~doc:"Benchmark name (see `stx_run --list`).")
 
+let bench_name w = w.Stx_workloads.Workload.name
+
 let anchors_cmd =
-  let run bench =
-    match Stx_workloads.Registry.find bench with
-    | Some w -> section ("anchor tables: " ^ bench) (Reports.anchor_tables w)
-    | None -> prerr_endline ("unknown benchmark " ^ bench)
+  let run w =
+    section ("anchor tables: " ^ bench_name w) (Reports.anchor_tables w)
   in
   Cmd.v
     (Cmd.info "anchors" ~doc:"Unified anchor tables of a benchmark (Figure 3)")
     Term.(const run $ bench_arg)
 
 let per_bench_cmd name doc cells render =
-  let run c bench =
-    match Stx_workloads.Registry.find bench with
-    | Some w ->
-      Exp.prefetch ~progress:true c (cells c w);
-      section (name ^ ": " ^ bench) (render c w)
-    | None -> prerr_endline ("unknown benchmark " ^ bench)
+  let run c w =
+    Exp.prefetch ~progress:true c (cells c w);
+    section (name ^ ": " ^ bench_name w) (render c w)
   in
   Cmd.v (Cmd.info name ~doc) Term.(const run $ ctx_term $ bench_arg)
 
@@ -154,20 +106,14 @@ let profile_cmd =
   let format_arg =
     Arg.(
       value
-      & opt string "text"
+      & opt (enum [ ("text", `Text); ("tsv", `Tsv) ]) `Text
       & info [ "format" ] ~doc:"Output format: $(b,text) or $(b,tsv).")
   in
-  let run c bench format =
-    match Stx_workloads.Registry.find bench with
-    | None -> prerr_endline ("unknown benchmark " ^ bench)
-    | Some w -> (
-      Exp.prefetch ~progress:true c (Reports.profile_cells c w);
-      match format with
-      | "text" -> section ("profile: " ^ bench) (Reports.profile c w)
-      | "tsv" -> print_string (Reports.profile_tsv c w)
-      | f ->
-        prerr_endline ("unknown format " ^ f ^ " (text|tsv)");
-        exit 1)
+  let run c w format =
+    Exp.prefetch ~progress:true c (Reports.profile_cells c w);
+    match format with
+    | `Text -> section ("profile: " ^ bench_name w) (Reports.profile c w)
+    | `Tsv -> print_string (Reports.profile_tsv c w)
   in
   Cmd.v
     (Cmd.info "profile"
@@ -304,14 +250,19 @@ let lint_cmd =
   let bench_arg =
     Arg.(
       value
-      & opt string "all"
+      & opt Stx_cli.benches Stx_workloads.Registry.all
       & info [ "bench" ]
           ~doc:"Benchmark name, comma-separated list, or \"all\".")
   in
   let mode_arg =
+    let open Stx_compiler.Anchors in
     Arg.(
       value
-      & opt string "both"
+      & opt
+          (enum
+             [ ("dsa", [ Dsa_guided ]); ("naive", [ Naive ]);
+               ("both", [ Dsa_guided; Naive ]) ])
+          [ Dsa_guided; Naive ]
       & info [ "mode" ]
           ~doc:"Anchor-selection mode to lint: $(b,dsa), $(b,naive) or \
                 $(b,both).")
@@ -319,7 +270,7 @@ let lint_cmd =
   let format_arg =
     Arg.(
       value
-      & opt string "text"
+      & opt (enum [ ("text", Driver.Text); ("tsv", Driver.Tsv) ]) Driver.Text
       & info [ "format" ] ~doc:"Output format: $(b,text) or $(b,tsv).")
   in
   let validate_arg =
@@ -353,36 +304,7 @@ let lint_cmd =
              same striped write-lock. Needs $(b,--validate) or \
              $(b,--validate-trace).")
   in
-  let run c bench mode format validate vtrace stripes =
-    let benches =
-      if bench = "all" then Stx_workloads.Registry.all
-      else
-        List.map
-          (fun name ->
-            match Stx_workloads.Registry.find name with
-            | Some w -> w
-            | None ->
-              prerr_endline ("unknown benchmark " ^ name);
-              exit 1)
-          (String.split_on_char ',' bench)
-    in
-    let modes =
-      match mode with
-      | "dsa" -> [ Stx_compiler.Anchors.Dsa_guided ]
-      | "naive" -> [ Stx_compiler.Anchors.Naive ]
-      | "both" -> [ Stx_compiler.Anchors.Dsa_guided; Stx_compiler.Anchors.Naive ]
-      | m ->
-        prerr_endline ("unknown mode " ^ m ^ " (dsa|naive|both)");
-        exit 1
-    in
-    let format =
-      match format with
-      | "text" -> Driver.Text
-      | "tsv" -> Driver.Tsv
-      | f ->
-        prerr_endline ("unknown format " ^ f ^ " (text|tsv)");
-        exit 1
-    in
+  let run c benches modes format validate vtrace stripes =
     (match (vtrace, benches) with
     | Some _, _ :: _ :: _ ->
       prerr_endline "--validate-trace needs a single --bench";
@@ -511,14 +433,7 @@ let policies_cmd =
             "Small inputs (scale 0.05, 4 threads) — the CI smoke \
              configuration.")
   in
-  let run c bench quick =
-    let w =
-      match Stx_workloads.Registry.find bench with
-      | Some w -> w
-      | None ->
-        prerr_endline ("unknown benchmark " ^ bench);
-        exit 1
-    in
+  let run c w quick =
     let scale = if quick then 0.05 else Exp.scale c in
     let threads = if quick then 4 else Exp.threads c in
     let seed = Exp.seed c in
@@ -580,7 +495,7 @@ let policies_cmd =
               errs)
           Stx_policy.Resolution.all)
       modes;
-    section ("policies: " ^ bench) (Buffer.contents buf);
+    section ("policies: " ^ bench_name w) (Buffer.contents buf);
     if !failed then exit 1
   in
   Cmd.v
@@ -703,7 +618,7 @@ let serve_cmd =
   let rates_arg =
     Arg.(
       value
-      & opt string "2,6,10,14"
+      & opt Stx_cli.rates [ 2.; 6.; 10.; 14. ]
       & info [ "rates" ]
           ~doc:
             "Comma-separated offered rates to sweep, requests per kilocycle \
@@ -712,23 +627,23 @@ let serve_cmd =
   let serve_bench_arg =
     Arg.(
       value
-      & opt string "memcached"
+      & opt Stx_cli.service Stx_workloads.W_memcached.service
       & info [ "bench" ] ~doc:"Served workload (see `stx_serve --list`).")
   in
   let keys_arg =
     Arg.(
       value
-      & opt string "zipf:0.9"
+      & opt Stx_cli.keys (Keys.Zipf 0.9)
       & info [ "keys" ] ~doc:"Key popularity: $(b,uniform) or $(b,zipf:THETA).")
   in
   let horizon_arg =
     Arg.(
       value
-      & opt int 50_000
+      & opt Stx_cli.pos_int 50_000
       & info [ "horizon" ] ~doc:"Cycles during which requests arrive.")
   in
   let shards_arg =
-    Arg.(value & opt int 2 & info [ "shards" ] ~doc:"Sub-runs per cell.")
+    Arg.(value & opt Stx_cli.pos_int 2 & info [ "shards" ] ~doc:"Sub-runs per cell.")
   in
   let serve_seed_arg =
     Arg.(value & opt int 5 & info [ "seed" ] ~doc:"Serving seed.")
@@ -745,39 +660,12 @@ let serve_cmd =
   let shard_by_arg =
     Arg.(
       value
-      & opt string "seed"
+      & opt Stx_cli.shard_by Serve.Seed
       & info [ "shard-by" ]
           ~doc:"Shard the request stream by $(b,seed) or by $(b,key) range.")
   in
-  let run bench rates_s keys_s horizon shards threads seed jobs cores
-      shard_by_s =
-    let die msg =
-      prerr_endline msg;
-      exit 1
-    in
-    let service =
-      match Stx_workloads.Registry.find_service bench with
-      | Some s -> s
-      | None -> die ("unknown service: " ^ bench ^ " (see stx_serve --list)")
-    in
-    let keys =
-      match Keys.of_string keys_s with
-      | Ok k -> k
-      | Error e -> die ("bad --keys " ^ keys_s ^ ": " ^ e)
-    in
-    let shard_by =
-      match Serve.shard_by_of_string shard_by_s with
-      | Ok sb -> sb
-      | Error e -> die ("bad --shard-by " ^ shard_by_s ^ ": " ^ e)
-    in
-    let rates =
-      List.map
-        (fun r ->
-          match float_of_string_opt (String.trim r) with
-          | Some f when f > 0.0 -> f
-          | _ -> die ("bad rate: " ^ r))
-        (String.split_on_char ',' rates_s)
-    in
+  let run service rates keys horizon shards threads seed jobs cores shard_by =
+    let bench = bench_name service.Stx_workloads.Workload.sv_bench in
     let cores_list = if cores = [] then [ threads ] else cores in
     let modes =
       [ Stx_core.Mode.Baseline; Stx_core.Mode.Addr_only;
@@ -786,7 +674,7 @@ let serve_cmd =
     let buf = Buffer.create 2048 in
     let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
     pf "open-loop %s: Poisson arrivals, %s keys, 70%% get, horizon %d cycles,\n"
-      bench keys_s horizon;
+      bench (Keys.to_string keys) horizon;
     pf "%d shards (%s-sharded), seed %d; rates in requests/kilocycle,\n"
       shards (Serve.shard_by_to_string shard_by) seed;
     pf "latencies in cycles (sojourn: arrival to commit)\n";
@@ -847,13 +735,13 @@ let report_cmd =
   let mode_arg =
     Arg.(
       value
-      & opt string "Staggered"
-      & info [ "mode" ] ~doc:"HTM | AddrOnly | Staggered+SW | Staggered.")
+      & opt Stx_cli.mode Stx_core.Mode.Staggered_hw
+      & info [ "mode" ] ~doc:Stx_cli.mode_doc)
   in
   let window_arg =
     Arg.(
       value
-      & opt int 1000
+      & opt Stx_cli.pos_int 1000
       & info [ "window" ] ~docv:"CYCLES"
           ~doc:"Telemetry window width in simulated cycles.")
   in
@@ -863,22 +751,7 @@ let report_cmd =
       & opt string "stx_report.html"
       & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the HTML report.")
   in
-  let run c bench mode_s window out =
-    let die msg =
-      prerr_endline msg;
-      exit 1
-    in
-    let w =
-      match Stx_workloads.Registry.find bench with
-      | Some w -> w
-      | None -> die ("unknown benchmark " ^ bench)
-    in
-    let mode =
-      match Stx_core.Mode.of_string mode_s with
-      | Some m -> m
-      | None -> die ("unknown mode: " ^ mode_s ^ " (HTM|AddrOnly|Staggered+SW|Staggered)")
-    in
-    if window < 1 then die "--window must be positive";
+  let run c w mode window out =
     let seed = Exp.seed c
     and scale = Exp.scale c
     and threads = Exp.threads c

@@ -55,20 +55,6 @@ let print_per_ab (spec : Machine.spec) (s : Stats.t) =
       atomics
   end
 
-let parse_policy resolution capacity fallback =
-  let axis flag parse v =
-    match parse v with
-    | Ok x -> x
-    | Error msg ->
-      Printf.eprintf "bad --%s %s: %s\n" flag v msg;
-      exit 1
-  in
-  Stx_policy.make
-    ~resolution:(axis "policy" Stx_policy.Resolution.of_string resolution)
-    ~capacity:(axis "capacity" Stx_policy.Capacity.of_string capacity)
-    ~fallback:(axis "fallback" Stx_policy.Fallback.of_string fallback)
-    ()
-
 (* several benchmarks at once: fan out over the Stx_runner domain pool,
    print each stats block in the requested order *)
 let run_many benches mode threads seed scale jobs policy =
@@ -102,9 +88,8 @@ let run_many benches mode threads seed scale jobs policy =
     benches batch.Sweep.results;
   if !failed then exit 1
 
-let run list_benches bench mode threads seed scale trace raw_trace metrics
-    telemetry telemetry_window lint jobs policy_s capacity_s fallback_s =
-  let htm_policy = parse_policy policy_s capacity_s fallback_s in
+let run list_benches benches mode threads seed scale trace raw_trace metrics
+    telemetry telemetry_window lint jobs htm_policy =
   if list_benches then begin
     List.iter
       (fun w ->
@@ -113,30 +98,8 @@ let run list_benches bench mode threads seed scale trace raw_trace metrics
       Registry.all;
     exit 0
   end;
-  let benches =
-    if bench = "all" then Registry.all
-    else
-      List.map
-        (fun name ->
-          match Registry.find name with
-          | Some w -> w
-          | None ->
-            prerr_endline ("unknown benchmark: " ^ name ^ " (try --list)");
-            exit 1)
-        (String.split_on_char ',' bench)
-  in
-  let mode =
-    match Mode.of_string mode with
-    | Some m -> m
-    | None ->
-      prerr_endline ("unknown mode: " ^ mode ^ " (HTM|AddrOnly|Staggered+SW|Staggered)");
-      exit 1
-  in
   match benches with
-  | [] ->
-    prerr_endline "no benchmark given (try --list)";
-    exit 1
-  | _ :: _ :: _ ->
+  | [] | _ :: _ :: _ ->
     if trace <> None || raw_trace <> None || metrics <> None || telemetry <> None
        || lint
     then begin
@@ -147,10 +110,6 @@ let run list_benches bench mode threads seed scale trace raw_trace metrics
     end;
     run_many benches mode threads seed scale jobs htm_policy
   | [ w ] ->
-    if telemetry_window < 1 then begin
-      prerr_endline "--telemetry-window must be positive";
-      exit 1
-    end;
     let cfg = Config.with_cores threads Config.default in
     (* telemetry always records a full trace too: the replay-equality
        check (online fold = trace replay) rides on every collection *)
@@ -309,7 +268,7 @@ let () =
   let bench_arg =
     Arg.(
       value
-      & opt string "list-hi"
+      & opt Stx_cli.benches [ W_list.list_hi ]
       & info [ "bench"; "b" ]
           ~doc:
             "Benchmark: a name, a comma-separated list, or \"all\". With \
@@ -318,8 +277,8 @@ let () =
   let mode_arg =
     Arg.(
       value
-      & opt string "Staggered"
-      & info [ "mode"; "m" ] ~doc:"HTM | AddrOnly | Staggered+SW | Staggered.")
+      & opt Stx_cli.mode Mode.Staggered_hw
+      & info [ "mode"; "m" ] ~doc:Stx_cli.mode_doc)
   in
   let threads_arg =
     Arg.(value & opt Stx_cli.pos_int 16 & info [ "threads"; "t" ] ~doc:"Simulated threads.")
@@ -379,7 +338,7 @@ let () =
   let telemetry_window_arg =
     Arg.(
       value
-      & opt int 1000
+      & opt Stx_cli.pos_int 1000
       & info [ "telemetry-window" ] ~docv:"CYCLES"
           ~doc:"Telemetry window width in simulated cycles.")
   in
@@ -396,51 +355,15 @@ let () =
   let jobs_arg =
     Arg.(
       value
-      & opt int (Domain.recommended_domain_count ())
+      & opt Stx_cli.pos_int (Domain.recommended_domain_count ())
       & info [ "jobs"; "j" ]
           ~doc:"Parallel simulations when several benchmarks are given.")
-  in
-  let policy_arg =
-    Arg.(
-      value
-      & opt string "requester-wins"
-      & info [ "policy" ]
-          ~doc:
-            "Conflict-resolution policy: requester-wins (the paper's \
-             hardware), responder-wins (suicide on conflict with an \
-             established owner), or timestamp (karma: the older transaction \
-             wins).")
-  in
-  let capacity_arg =
-    Arg.(
-      value
-      & opt string "unbounded"
-      & info [ "capacity" ]
-          ~doc:
-            "HTM capacity policy: unbounded, or bounded:R:W for a hard \
-             limit of R read-set and W write-set cache lines (exceeding \
-             either aborts with the capacity reason and goes straight to \
-             the irrevocable fallback).")
-  in
-  let fallback_arg =
-    Arg.(
-      value
-      & opt string "polite"
-      & info [ "fallback" ]
-          ~doc:
-            "Fallback policy: polite[:N] (linear polite delay, irrevocable \
-             after N attempts), backoff[:N[:BASE[:MAXEXP[:SEED]]]] \
-             (exponential randomized backoff from a dedicated PRNG \
-             stream), or htm-stm-lock[:N[:S]] (alias stm) — N hardware \
-             attempts, then a TL2-style software tier for S attempts, \
-             then the global lock.")
   in
   let term =
     Term.(
       const run $ list_arg $ bench_arg $ mode_arg $ threads_arg $ seed_arg
       $ scale_arg $ trace_arg $ raw_trace_arg $ metrics_arg $ telemetry_arg
-      $ telemetry_window_arg $ lint_arg $ jobs_arg $ policy_arg $ capacity_arg
-      $ fallback_arg)
+      $ telemetry_window_arg $ lint_arg $ jobs_arg $ Stx_cli.policy_term)
   in
   let info =
     Cmd.info "stx_run" ~version:"1.0"

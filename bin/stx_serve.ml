@@ -9,23 +9,9 @@ module Serve = Stx_serve.Serve
 module Arrival = Stx_serve.Arrival
 module Keys = Stx_serve.Keys
 
-let parse_policy resolution capacity fallback =
-  let axis flag parse v =
-    match parse v with
-    | Ok x -> x
-    | Error msg ->
-      Printf.eprintf "bad --%s %s: %s\n" flag v msg;
-      exit 1
-  in
-  Stx_policy.make
-    ~resolution:(axis "policy" Stx_policy.Resolution.of_string resolution)
-    ~capacity:(axis "capacity" Stx_policy.Capacity.of_string capacity)
-    ~fallback:(axis "fallback" Stx_policy.Fallback.of_string fallback)
-    ()
-
-let run list_services bench arrival_s keys_s pct_get key_range horizon threads
-    seed shards shard_by_s jobs mode_s metrics telemetry telemetry_window check
-    policy_s capacity_s fallback_s =
+let run list_services service arrival keys pct_get key_range horizon threads
+    seed shards shard_by jobs mode metrics telemetry telemetry_window check
+    htm_policy =
   if list_services then begin
     List.iter
       (fun s ->
@@ -35,44 +21,7 @@ let run list_services bench arrival_s keys_s pct_get key_range horizon threads
       Registry.services;
     exit 0
   end;
-  let die msg =
-    prerr_endline msg;
-    exit 1
-  in
-  let service =
-    match Registry.find_service bench with
-    | Some s -> s
-    | None ->
-      die
-        ("unknown service: " ^ bench ^ " (one of "
-        ^ String.concat ", " Registry.service_names
-        ^ ")")
-  in
-  let arrival =
-    match Arrival.of_string arrival_s with
-    | Ok a -> a
-    | Error e -> die ("bad --arrival " ^ arrival_s ^ ": " ^ e)
-  in
-  let keys =
-    match Keys.of_string keys_s with
-    | Ok k -> k
-    | Error e -> die ("bad --keys " ^ keys_s ^ ": " ^ e)
-  in
-  let mode =
-    match Mode.of_string mode_s with
-    | Some m -> m
-    | None -> die ("unknown mode: " ^ mode_s ^ " (HTM|AddrOnly|Staggered+SW|Staggered)")
-  in
-  let shard_by =
-    match Serve.shard_by_of_string shard_by_s with
-    | Ok sb -> sb
-    | Error e -> die ("bad --shard-by " ^ shard_by_s ^ ": " ^ e)
-  in
-  let htm_policy = parse_policy policy_s capacity_s fallback_s in
-  if telemetry_window < 1 then die "--telemetry-window must be positive";
-  let telemetry_window =
-    match telemetry with Some _ -> Some telemetry_window | None -> None
-  in
+  let telemetry_window = Option.map (fun _ -> telemetry_window) telemetry in
   let cfg =
     Serve.config ~mode ~htm_policy ~threads ~seed ~keys ~pct_get ?key_range
       ~horizon ~shards ~shard_by ?telemetry_window ~arrival service
@@ -83,10 +32,10 @@ let run list_services bench arrival_s keys_s pct_get key_range horizon threads
   | Some file, Some series ->
     let meta =
       [
-        ("service", bench);
+        ("service", service.Workload.sv_bench.Workload.name);
         ("mode", Mode.to_string mode);
-        ("arrival", arrival_s);
-        ("keys", keys_s);
+        ("arrival", Arrival.to_string arrival);
+        ("keys", Keys.to_string keys);
         ("seed", string_of_int seed);
         ("shards", string_of_int shards);
         ("shard_by", Serve.shard_by_to_string shard_by);
@@ -131,13 +80,13 @@ let () =
   let bench_arg =
     Arg.(
       value
-      & opt string "memcached"
+      & opt Stx_cli.service W_memcached.service
       & info [ "bench"; "b" ] ~doc:"Workload to serve (see --list).")
   in
   let arrival_arg =
     Arg.(
       value
-      & opt string "poisson:2"
+      & opt Stx_cli.arrival (Arrival.Poisson { rate = 2. })
       & info [ "arrival"; "a" ] ~docv:"PROC"
           ~doc:
             "Arrival process: $(b,fixed:RATE), $(b,poisson:RATE), or \
@@ -147,27 +96,27 @@ let () =
   let keys_arg =
     Arg.(
       value
-      & opt string "uniform"
+      & opt Stx_cli.keys Keys.Uniform
       & info [ "keys"; "k" ] ~docv:"MODEL"
           ~doc:"Key popularity: $(b,uniform) or $(b,zipf:THETA).")
   in
   let pct_get_arg =
     Arg.(
       value
-      & opt int 70
+      & opt Stx_cli.percent 70
       & info [ "pct-get" ] ~doc:"Read share of the request mix, 0..100.")
   in
   let key_range_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some Stx_cli.pos_int) None
       & info [ "key-range" ]
           ~doc:"Key universe (default: the workload's own).")
   in
   let horizon_arg =
     Arg.(
       value
-      & opt int 100_000
+      & opt Stx_cli.pos_int 100_000
       & info [ "horizon" ] ~doc:"Cycles during which requests arrive.")
   in
   let threads_arg =
@@ -177,7 +126,7 @@ let () =
   let shards_arg =
     Arg.(
       value
-      & opt int 2
+      & opt Stx_cli.pos_int 2
       & info [ "shards" ]
           ~doc:
             "Independent sub-runs, each at 1/shards of the offered rate. \
@@ -187,7 +136,7 @@ let () =
   let shard_by_arg =
     Arg.(
       value
-      & opt string "seed"
+      & opt Stx_cli.shard_by Serve.Seed
       & info [ "shard-by" ] ~docv:"WHAT"
           ~doc:
             "$(b,seed): each shard serves the full key range at 1/shards of \
@@ -199,15 +148,15 @@ let () =
   let jobs_arg =
     Arg.(
       value
-      & opt int (Domain.recommended_domain_count ())
+      & opt Stx_cli.pos_int (Domain.recommended_domain_count ())
       & info [ "jobs"; "j" ]
           ~doc:"Domains running shards; never affects the result.")
   in
   let mode_arg =
     Arg.(
       value
-      & opt string "Staggered"
-      & info [ "mode"; "m" ] ~doc:"HTM | AddrOnly | Staggered+SW | Staggered.")
+      & opt Stx_cli.mode Mode.Staggered_hw
+      & info [ "mode"; "m" ] ~doc:Stx_cli.mode_doc)
   in
   let metrics_arg =
     Arg.(
@@ -236,7 +185,7 @@ let () =
   let telemetry_window_arg =
     Arg.(
       value
-      & opt int 1000
+      & opt Stx_cli.pos_int 1000
       & info [ "telemetry-window" ] ~docv:"CYCLES"
           ~doc:"Telemetry window width in simulated cycles.")
   in
@@ -251,31 +200,12 @@ let () =
              cross-check in every shard) passes. Divergences exit non-zero \
              regardless.")
   in
-  let policy_arg =
-    Arg.(
-      value
-      & opt string "requester-wins"
-      & info [ "policy" ] ~doc:"Conflict-resolution policy (see stx_run).")
-  in
-  let capacity_arg =
-    Arg.(
-      value
-      & opt string "unbounded"
-      & info [ "capacity" ] ~doc:"HTM capacity policy (see stx_run).")
-  in
-  let fallback_arg =
-    Arg.(
-      value
-      & opt string "polite"
-      & info [ "fallback" ] ~doc:"Fallback policy (see stx_run).")
-  in
   let term =
     Term.(
       const run $ list_arg $ bench_arg $ arrival_arg $ keys_arg $ pct_get_arg
       $ key_range_arg $ horizon_arg $ threads_arg $ seed_arg $ shards_arg
       $ shard_by_arg $ jobs_arg $ mode_arg $ metrics_arg $ telemetry_arg
-      $ telemetry_window_arg $ check_arg $ policy_arg $ capacity_arg
-      $ fallback_arg)
+      $ telemetry_window_arg $ check_arg $ Stx_cli.policy_term)
   in
   let info =
     Cmd.info "stx_serve" ~version:"1.0"
