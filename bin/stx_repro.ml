@@ -384,15 +384,16 @@ let lint_cmd =
           let cfg =
             Stx_machine.Config.with_cores threads Stx_machine.Config.default
           in
-          let tr = Stx_trace.Trace.create ~threads () in
-          let (_ : Stx_sim.Stats.t) =
-            Stx_sim.Machine.run ~seed:(Exp.seed c)
-              ~htm_policy:(Exp.policy c) ~cfg
-              ~mode:Stx_core.Mode.Staggered_hw
-              ~on_event:(Stx_trace.Trace.handler tr) vspec
+          let o =
+            Observed.run ~seed:(Exp.seed c) ~htm_policy:(Exp.policy c) ~cfg
+              ~mode:Stx_core.Mode.Staggered_hw vspec
           in
-          check_validation vanalysis (Driver.validate vanalysis tr);
-          check_stripes w.Stx_workloads.Workload.name tr
+          if o.Observed.errors <> [] then begin
+            failed := true;
+            List.iter (Printf.printf "observed check FAILED: %s\n") o.Observed.errors
+          end;
+          check_validation vanalysis (Driver.validate vanalysis o.Observed.trace);
+          check_stripes w.Stx_workloads.Workload.name o.Observed.trace
         end;
         match vtrace with
         | None -> ()
@@ -463,20 +464,8 @@ let policies_cmd =
         List.iter
           (fun resolution ->
             let htm_policy = { base with Stx_policy.resolution } in
-            let tr = Stx_trace.Trace.create ~threads () in
-            let r =
-              Stx_metrics.Run.simulate ~seed ~htm_policy ~cfg ~mode
-                ~on_event:(Stx_trace.Trace.handler tr) spec
-            in
-            let s = r.Stx_metrics.Run.stats in
-            let errs =
-              (match Stx_trace.Trace.check tr s with
-              | Ok () -> []
-              | Error es -> List.map (fun e -> "trace: " ^ e) es)
-              @
-              match Stx_metrics.Collect.check r.Stx_metrics.Run.metrics s with
-              | Ok () -> []
-              | Error es -> List.map (fun e -> "metrics: " ^ e) es
+            let { Observed.stats = s; errors = errs; _ } =
+              Observed.run ~seed ~htm_policy ~cfg ~mode spec
             in
             if errs <> [] then failed := true;
             Buffer.add_string buf
@@ -502,9 +491,9 @@ let policies_cmd =
     (Cmd.info "policies"
        ~doc:
          "Compare the conflict-resolution policies (requester-wins, \
-          responder-wins, timestamp) on one benchmark, cross-checking the \
-          trace and metrics pipelines under each (non-zero exit on any \
-          reconciliation failure)")
+          responder-wins, timestamp) on one benchmark, running every \
+          observed-run check (trace, metrics, online = replay) under each \
+          (non-zero exit on any reconciliation failure)")
     Term.(const run $ ctx_term $ bench_arg $ quick_arg)
 
 (* stx_repro hybrid: lock-only vs htm-stm-lock fallback comparison    *)
@@ -554,22 +543,8 @@ let hybrid_cmd =
           ~instrument:(Stx_core.Mode.uses_alps mode) ~scale w
       in
       let cfg = Stx_machine.Config.with_cores threads Stx_machine.Config.default in
-      let tr = Stx_trace.Trace.create ~threads () in
-      let r =
-        Stx_metrics.Run.simulate ~seed ~htm_policy ~cfg ~mode
-          ~on_event:(Stx_trace.Trace.handler tr) spec
-      in
-      let s = r.Stx_metrics.Run.stats in
-      let errs =
-        (match Stx_trace.Trace.check tr s with
-        | Ok () -> []
-        | Error es -> List.map (fun e -> "trace: " ^ e) es)
-        @
-        match Stx_metrics.Collect.check r.Stx_metrics.Run.metrics s with
-        | Ok () -> []
-        | Error es -> List.map (fun e -> "metrics: " ^ e) es
-      in
-      (s, errs)
+      let o = Observed.run ~seed ~htm_policy ~cfg ~mode spec in
+      (o.Observed.stats, o.Observed.errors)
     in
     List.iter
       (fun (w : Stx_workloads.Workload.t) ->
@@ -606,9 +581,9 @@ let hybrid_cmd =
     (Cmd.info "hybrid"
        ~doc:
          "Compare the lock-only fallback against the htm-stm-lock software \
-          tier on every benchmark and mode, cross-checking the trace and \
-          metrics pipelines in every cell (non-zero exit on any \
-          reconciliation failure)")
+          tier on every benchmark and mode, running every observed-run \
+          check (trace, metrics, online = replay) in every cell (non-zero \
+          exit on any reconciliation failure)")
     Term.(const run $ ctx_term $ quick_arg)
 
 let serve_cmd =
@@ -761,20 +736,15 @@ let report_cmd =
         ~scale w
     in
     let cfg = Stx_machine.Config.with_cores threads Stx_machine.Config.default in
-    let tr = Stx_trace.Trace.create ~threads () in
-    let tc = Stx_telemetry.Collect.create ~window ~threads () in
-    let r =
-      Stx_metrics.Run.simulate ~seed ~htm_policy ~cfg ~mode
-        ~on_event:(fun ~time ev ->
-          Stx_trace.Trace.handler tr ~time ev;
-          Stx_telemetry.Collect.handler tc ~time ev)
-        spec
+    let { Observed.stats; metrics; trace; series; errors } =
+      Observed.run ~window ~seed ~htm_policy ~cfg ~mode spec
     in
-    let stats = r.Stx_metrics.Run.stats in
-    let series =
-      Stx_telemetry.Collect.finalize ~horizon:stats.Stx_sim.Stats.total_cycles
-        tc
-    in
+    if errors <> [] then begin
+      Printf.printf "report: %s %s: observed checks FAILED:\n"
+        w.Stx_workloads.Workload.name (Stx_core.Mode.to_string mode);
+      List.iter (Printf.printf "    %s\n") errors;
+      exit 1
+    end;
     let episodes = Stx_telemetry.Episodes.detect series in
     let prog = w.Stx_workloads.Workload.build () in
     let ab_name id =
@@ -795,8 +765,8 @@ let report_cmd =
           series;
           episodes;
           stats;
-          registry = r.Stx_metrics.Run.metrics;
-          attribution = Stx_trace.Trace.abort_attribution tr;
+          registry = metrics;
+          attribution = Stx_trace.Trace.abort_attribution trace;
           ab_name;
         }
     in
@@ -839,7 +809,9 @@ let report_cmd =
           episode annotations, per-core occupancy, conflict hot spots, the \
           per-atomic-block phase profile and the policy bundle — as a \
           single self-contained HTML file (inline CSS, hand-rolled SVG, no \
-          external assets; byte-deterministic for a fixed seed)")
+          external assets; byte-deterministic for a fixed seed). The run's \
+          trace, metrics and telemetry are reconciled first; any divergence \
+          is printed and exits non-zero without writing the report")
     Term.(const run $ ctx_term $ bench_arg $ mode_arg $ window_arg $ out_arg)
 
 let all_cmd =

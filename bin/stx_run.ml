@@ -98,11 +98,12 @@ let run list_benches benches mode threads seed scale trace raw_trace metrics
       Registry.all;
     exit 0
   end;
+  let observing =
+    trace <> None || raw_trace <> None || metrics <> None || telemetry <> None
+  in
   match benches with
   | [] | _ :: _ :: _ ->
-    if trace <> None || raw_trace <> None || metrics <> None || telemetry <> None
-       || lint
-    then begin
+    if observing || lint then begin
       prerr_endline
         "--trace/--raw-trace/--metrics/--telemetry/--lint need a single \
          benchmark";
@@ -111,47 +112,6 @@ let run list_benches benches mode threads seed scale trace raw_trace metrics
     run_many benches mode threads seed scale jobs htm_policy
   | [ w ] ->
     let cfg = Config.with_cores threads Config.default in
-    (* telemetry always records a full trace too: the replay-equality
-       check (online fold = trace replay) rides on every collection *)
-    let tr =
-      if trace <> None || raw_trace <> None || telemetry <> None then
-        Some (Stx_trace.Trace.create ~threads ())
-      else None
-    in
-    let telem =
-      match telemetry with
-      | Some _ ->
-        Some (Stx_telemetry.Collect.create ~window:telemetry_window ~threads ())
-      | None -> None
-    in
-    let collector =
-      match metrics with
-      | Some _ -> Some (Stx_metrics.Collect.create ~policy:htm_policy ())
-      | None -> None
-    in
-    let on_event =
-      let trace_h =
-        match tr with
-        | Some tr -> Stx_trace.Trace.handler tr
-        | None -> fun ~time:_ _ -> ()
-      in
-      let chained =
-        match collector with
-        | None -> trace_h
-        | Some c ->
-          let metrics_h = Stx_metrics.Collect.handler c in
-          fun ~time ev ->
-            trace_h ~time ev;
-            metrics_h ~time ev
-      in
-      match telem with
-      | None -> chained
-      | Some tc ->
-        let telem_h = Stx_telemetry.Collect.handler tc in
-        fun ~time ev ->
-          chained ~time ev;
-          telem_h ~time ev
-    in
     let spec = Workload.spec ~instrument:(Mode.uses_alps mode) ~scale w in
     let lint_errors =
       lint
@@ -164,102 +124,114 @@ let run list_benches benches mode threads seed scale trace raw_trace metrics
       print_string (Stx_analysis.Driver.render_layout a);
       Stx_analysis.Driver.has_errors a
     in
-    let stats = Machine.run ~seed ~htm_policy ~cfg ~mode ~on_event spec in
+    let observed =
+      if observing then
+        Some
+          (Stx_harness.Observed.run ~window:telemetry_window ~seed ~htm_policy
+             ~cfg ~mode spec)
+      else None
+    in
+    let stats =
+      match observed with
+      | Some o -> o.Stx_harness.Observed.stats
+      | None -> Machine.run ~seed ~htm_policy ~cfg ~mode spec
+    in
     print_stats w.Workload.name mode threads stats;
     if not (Stx_policy.equal htm_policy Stx_policy.default) then
       Printf.printf "  policy             %s\n" (Stx_policy.label htm_policy);
     print_per_ab spec stats;
-    (match (metrics, collector) with
-    | Some file, Some c ->
-      (* GC pressure is stamped on the exported copy only; the live
-         registry must stay equal to a trace replay's *)
-      let reg = Stx_metrics.Gcstats.stamp (Stx_metrics.Collect.registry c) in
-      let oc = open_out file in
-      output_string oc (Stx_metrics.Registry.to_json_string reg);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "  metrics            %d series -> %s\n"
-        (Stx_metrics.Registry.cardinality reg) file;
-      (match Stx_metrics.Collect.check reg stats with
-      | Ok () ->
-        Printf.printf "  metrics check      ok (registry reconciles with stats)\n%!"
-      | Error errs ->
-        Printf.printf "  metrics check      FAILED:\n";
-        List.iter (fun e -> Printf.printf "    %s\n" e) errs;
-        exit 1)
-    | _ -> ());
-    (match (telemetry, telem, tr) with
-    | Some file, Some tc, Some tr ->
-      let horizon = stats.Stats.total_cycles in
-      let online = Stx_telemetry.Collect.finalize ~horizon tc in
-      let replayed =
-        Stx_telemetry.Collect.of_trace ~window:telemetry_window ~horizon tr
+    match observed with
+    | None -> if lint_errors then exit 1
+    | Some o ->
+      let open Stx_harness.Observed in
+      (* one status line per requested output, over the errors of the
+         checks behind it; checks no output names still fail the run *)
+      let of_checks checks e =
+        List.exists (fun c -> String.starts_with ~prefix:(c ^ ": ") e) checks
       in
-      (* width/threads already live in the codec headers *)
-      let meta =
-        [
-          ("workload", w.Workload.name);
-          ("mode", Mode.to_string mode);
-          ("seed", string_of_int seed);
-          ("scale", string_of_float scale);
-          ("policy", Stx_policy.label htm_policy);
-        ]
+      let failed label errs =
+        Printf.printf "  %-18s FAILED:\n" label;
+        List.iter (Printf.printf "    %s\n") errs
       in
-      let doc =
-        if Filename.check_suffix file ".csv" then
-          Stx_telemetry.Series.to_csv ~meta online
-        else Stx_telemetry.Series.to_jsonl ~meta online
+      let shown = ref [] in
+      let check_line label ok checks =
+        shown := checks @ !shown;
+        match List.filter (of_checks checks) o.errors with
+        | [] -> Printf.printf "  %-18s ok (%s)\n%!" label ok
+        | errs -> failed label errs
       in
-      let oc = open_out file in
-      output_string oc doc;
-      close_out oc;
-      Printf.printf "  telemetry          %d windows of %d cycles -> %s\n"
-        (Stx_telemetry.Series.length online)
-        telemetry_window file;
-      List.iter
-        (fun e ->
-          Printf.printf "  episode            %s\n"
-            (Stx_telemetry.Episodes.to_string online e))
-        (Stx_telemetry.Episodes.detect online);
-      if Stx_telemetry.Series.equal online replayed then
-        Printf.printf "  telemetry check    ok (online = trace replay)\n%!"
-      else begin
-        Printf.printf "  telemetry check    FAILED:\n";
+      (match metrics with
+      | Some file ->
+        (* GC pressure is stamped on the exported copy only; the live
+           registry must stay equal to a trace replay's *)
+        let reg = Stx_metrics.Gcstats.stamp o.metrics in
+        let oc = open_out file in
+        output_string oc (Stx_metrics.Registry.to_json_string reg);
+        output_char oc '\n';
+        close_out oc;
+        Printf.printf "  metrics            %d series -> %s\n"
+          (Stx_metrics.Registry.cardinality reg) file;
+        check_line "metrics check" "registry reconciles with stats"
+          [ "metrics"; "metrics online = replay" ]
+      | None -> ());
+      (match telemetry with
+      | Some file ->
+        (* width/threads already live in the codec headers *)
+        let meta =
+          [
+            ("workload", w.Workload.name);
+            ("mode", Mode.to_string mode);
+            ("seed", string_of_int seed);
+            ("scale", string_of_float scale);
+            ("policy", Stx_policy.label htm_policy);
+          ]
+        in
+        let doc =
+          if Filename.check_suffix file ".csv" then
+            Stx_telemetry.Series.to_csv ~meta o.series
+          else Stx_telemetry.Series.to_jsonl ~meta o.series
+        in
+        let oc = open_out file in
+        output_string oc doc;
+        close_out oc;
+        Printf.printf "  telemetry          %d windows of %d cycles -> %s\n"
+          (Stx_telemetry.Series.length o.series)
+          telemetry_window file;
         List.iter
-          (fun d -> Printf.printf "    %s\n" d)
-          (Stx_telemetry.Series.diff online replayed);
-        exit 1
-      end
-    | _ -> ());
-    (match (raw_trace, tr) with
-    | Some file, Some tr ->
-      let meta =
-        [
-          ("workload", w.Workload.name);
-          ("mode", Mode.to_string mode);
-          ("threads", string_of_int threads);
-          ("seed", string_of_int seed);
-          ("scale", string_of_float scale);
-          ("policy", Stx_policy.label htm_policy);
-        ]
-      in
-      Stx_trace.Trace.write_events ~meta tr ~file;
-      Printf.printf "  raw trace          %d events -> %s (stx_repro lint --validate-trace)\n"
-        (Stx_trace.Trace.length tr) file
-    | _ -> ());
-    (match (trace, tr) with
-    | Some file, Some tr -> (
-      Stx_trace.Trace.write_chrome tr ~file;
-      Printf.printf "  trace              %d events -> %s (chrome://tracing, Perfetto)\n"
-        (Stx_trace.Trace.length tr) file;
-      match Stx_trace.Trace.check tr stats with
-      | Ok () -> Printf.printf "  trace check        ok (events reconcile with stats)\n%!"
-      | Error errs ->
-        Printf.printf "  trace check        FAILED:\n";
-        List.iter (fun e -> Printf.printf "    %s\n" e) errs;
-        exit 1)
-    | _ -> ());
-    if lint_errors then exit 1
+          (fun e ->
+            Printf.printf "  episode            %s\n"
+              (Stx_telemetry.Episodes.to_string o.series e))
+          (Stx_telemetry.Episodes.detect o.series);
+        check_line "telemetry check" "online = trace replay"
+          [ "telemetry online = replay" ]
+      | None -> ());
+      (match raw_trace with
+      | Some file ->
+        let meta =
+          [
+            ("workload", w.Workload.name);
+            ("mode", Mode.to_string mode);
+            ("threads", string_of_int threads);
+            ("seed", string_of_int seed);
+            ("scale", string_of_float scale);
+            ("policy", Stx_policy.label htm_policy);
+          ]
+        in
+        Stx_trace.Trace.write_events ~meta o.trace ~file;
+        Printf.printf "  raw trace          %d events -> %s (stx_repro lint --validate-trace)\n"
+          (Stx_trace.Trace.length o.trace) file
+      | None -> ());
+      (match trace with
+      | Some file ->
+        Stx_trace.Trace.write_chrome o.trace ~file;
+        Printf.printf "  trace              %d events -> %s (chrome://tracing, Perfetto)\n"
+          (Stx_trace.Trace.length o.trace) file;
+        check_line "trace check" "events reconcile with stats" [ "trace" ]
+      | None -> ());
+      (match List.filter (fun e -> not (of_checks !shown e)) o.errors with
+      | [] -> ()
+      | errs -> failed "observed checks" errs);
+      if lint_errors || o.errors <> [] then exit 1
 
 let () =
   let list_arg =

@@ -3,7 +3,6 @@ open Stx_core
 open Stx_sim
 open Stx_workloads
 module J = Stx_util.Json
-module Mreg = Stx_metrics.Registry
 module Hist = Stx_metrics.Hist
 module Collect = Stx_metrics.Collect
 
@@ -53,11 +52,8 @@ let entry_of_run ~workload ~mode (r : Stx_metrics.Run.t) =
   let attempts = s.Stats.commits + s.Stats.aborts in
   let abort_rate = Stat.ratio s.Stats.aborts (max 1 attempts) in
   let p99_latency =
-    match
-      Mreg.histogram reg "stx_tx_latency_cycles" [ ("outcome", "commit") ]
-    with
-    | Some h -> Hist.p99 h
-    | None -> 0
+    Hist.p99
+      (Collect.histogram reg "stx_tx_latency_cycles" [ ("outcome", "commit") ])
   in
   let phase p = Collect.phase_total reg p in
   let prefix = phase Collect.Prefix in
@@ -538,5 +534,3 @@ let minor_words_budget = 64.
 
 let alloc_violations t =
   List.filter (fun e -> e.sim_minor_words_per_event >= minor_words_budget) t.sims
-
-let workload_names ws = List.map (fun (w : Workload.t) -> w.Workload.name) ws

@@ -64,6 +64,13 @@ val sim_suite :
 
 val render_sim : ?cores:int -> sim_entry list -> string
 
+val entry_of_run :
+  workload:string -> mode:Stx_core.Mode.t -> Stx_metrics.Run.t -> entry
+(** Distill one run into its bench row. The p99 column reads the
+    commit-latency histogram by label subset, so it sees the series
+    whatever policy label the run stamped; a run without that series
+    raises [Failure] rather than reporting 0. *)
+
 val suite_cells : Exp.t -> Exp.cell list
 (** What to [Exp.prefetch] before {!suite}: the full Figure 7 matrix. *)
 
@@ -143,6 +150,3 @@ val minor_words_budget : float
 val alloc_violations : t -> sim_entry list
 (** Sim entries at or over {!minor_words_budget} — non-empty means the
     bench driver should fail the run. *)
-
-val workload_names : Workload.t list -> string list
-(** Names in registry order (a convenience for drivers). *)

@@ -372,21 +372,18 @@ let anchor_tables w =
   Buffer.contents buf
 
 let hotspots ctx w =
-  (* trace-backed: rerun the baseline with a full-capture trace attached.
-     The frequency tables could come from the cached counters, but the
-     aggressor -> victim attribution only exists in the event stream — and
-     replaying it through Trace.check keeps the two accounting paths
-     honest on the way *)
+  (* trace-backed: rerun the baseline as an observed run. The frequency
+     tables could come from the cached counters, but the aggressor ->
+     victim attribution only exists in the event stream — and the
+     observed run's reconciliations keep the accounting paths honest on
+     the way *)
   let module Trace = Stx_trace.Trace in
   let threads = Exp.threads ctx in
-  let tr = Trace.create ~threads () in
   let spec = Workload.spec ~instrument:false ~scale:(Exp.scale ctx) w in
-  let stats =
-    Machine.run ~seed:(Exp.seed ctx)
+  let { Observed.trace = tr; errors; _ } =
+    Observed.run ~seed:(Exp.seed ctx) ~htm_policy:(Exp.policy ctx)
       ~cfg:(Config.with_cores threads Config.default)
-      ~mode:Mode.Baseline
-      ~on_event:(Trace.handler tr)
-      spec
+      ~mode:Mode.Baseline spec
   in
   let a = Trace.abort_attribution tr in
   let take n l = List.filteri (fun i _ -> i < n) l in
@@ -512,10 +509,10 @@ let hotspots ctx w =
                | c -> string_of_int c))
   done;
   let health =
-    match Trace.check tr stats with
-    | Ok () -> ""
-    | Error errs ->
-      "\nWARNING: trace/stats divergence detected:\n  "
+    match errors with
+    | [] -> ""
+    | errs ->
+      "\nWARNING: observed-run divergence detected:\n  "
       ^ String.concat "\n  " errs ^ "\n"
   in
   let collisions =
@@ -563,7 +560,6 @@ let profile_cells ctx w =
 
 let profile ctx w =
   let module C = Stx_metrics.Collect in
-  let module MR = Stx_metrics.Registry in
   let module H = Stx_metrics.Hist in
   let prog = w.Workload.build () in
   let ab_name id =
@@ -615,16 +611,17 @@ let profile ctx w =
     (fun m ->
       let reg = Exp.metrics ctx w m in
       let q f = function Some h -> string_of_int (f h) | None -> "-" in
-      let commit_h =
-        MR.histogram reg "stx_tx_latency_cycles" [ ("outcome", "commit") ]
+      (* label-subset reads (the series carry a policy label); "-" only
+         where the run recorded no such series, e.g. no lock waits *)
+      let hist name labels =
+        match C.histogram reg name labels with
+        | h -> Some h
+        | exception Failure _ -> None
       in
-      let abort_h =
-        MR.histogram reg "stx_tx_latency_cycles" [ ("outcome", "abort") ]
-      in
-      let retries = MR.histogram reg "stx_tx_retries" [] in
-      let wait_h =
-        MR.histogram reg "stx_lock_wait_cycles" [ ("outcome", "acquired") ]
-      in
+      let commit_h = hist "stx_tx_latency_cycles" [ ("outcome", "commit") ] in
+      let abort_h = hist "stx_tx_latency_cycles" [ ("outcome", "abort") ] in
+      let retries = hist "stx_tx_retries" [] in
+      let wait_h = hist "stx_lock_wait_cycles" [ ("outcome", "acquired") ] in
       Table.add_row lt
         [
           Mode.to_string m;

@@ -195,6 +195,23 @@ let abs_profiled reg =
 let phase_total reg p =
   List.fold_left (fun acc ab -> acc + phase_cycles reg ~ab p) 0 (abs_profiled reg)
 
+let histogram reg name labels =
+  let merged =
+    Registry.fold
+      (fun n ls v acc ->
+        match v with
+        | Registry.Histogram h when n = name && label_subset labels ls ->
+          Some (Hist.merge (Option.value acc ~default:(Hist.create ())) h)
+        | _ -> acc)
+      reg None
+  in
+  match merged with
+  | Some h -> h
+  | None ->
+    failwith
+      (Printf.sprintf "Collect.histogram: no series %s{%s}" name
+         (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels)))
+
 (* --- reconciliation against the inline counters ----------------------- *)
 
 let hist_stats reg name labels =

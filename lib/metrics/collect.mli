@@ -103,3 +103,11 @@ val abs_profiled : Registry.t -> int list
 
 val phase_total : Registry.t -> phase -> int
 (** Summed over atomic blocks. *)
+
+val histogram : Registry.t -> string -> Registry.labels -> Hist.t
+(** Every histogram series of that name whose labels include [labels],
+    merged into a fresh value — so [histogram reg
+    "stx_tx_latency_cycles" [ ("outcome", "commit") ]] reads a registry
+    of any policy label, or of several.
+    @raise Failure naming the series when none matches: a lookup that
+    finds nothing is a schema error, not a zero. *)

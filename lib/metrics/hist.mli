@@ -48,9 +48,6 @@ val p99 : t -> int
 val merge : t -> t -> t
 (** Fresh combined histogram; the arguments are not mutated. *)
 
-val buckets : t -> (int * int) list
-(** Non-empty buckets as [(index, count)], index ascending. *)
-
 val buckets_full : t -> (int * int * int) list
 (** Non-empty buckets as [(index, count, observed_max)], index ascending;
     the serialization shape. *)

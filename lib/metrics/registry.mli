@@ -2,9 +2,9 @@
     keyed by (name, sorted label set).
 
     Everything the registry exposes — iteration, the JSON snapshot, the
-    Prometheus text, the store codec — is ordered by (name, labels), so
-    two registries holding the same data render byte-identically no
-    matter what order events arrived in. That determinism is what lets
+    store codec — is ordered by (name, labels), so two registries holding
+    the same data render byte-identically no matter what order events
+    arrived in. That determinism is what lets
     the online collector and the trace-replay collector be compared for
     exact equality (see {!Collect}).
 
@@ -24,10 +24,10 @@ val create : unit -> t
 
 (** Metric and label names must match [[a-zA-Z_][a-zA-Z0-9_]*]; label
     values may be any non-empty string (each exporter escapes what its
-    framing needs — Prometheus text per the exposition spec, the store
-    codec with backslash sequences, JSON per RFC 8259). An empty value,
-    a malformed name, reusing a (name, labels) key at a different
-    metric type, or duplicate label keys raises [Invalid_argument]:
+    framing needs — the store codec with backslash sequences, JSON per
+    RFC 8259). An empty value, a malformed name, reusing a (name,
+    labels) key at a different metric type, or duplicate label keys
+    raises [Invalid_argument]:
     metric identity is part of each exporter's schema, so a malformed
     one is a programming error, not data. *)
 
@@ -71,12 +71,6 @@ val to_json_string : t -> string
 (** The snapshot document:
     [{"schema":"stx-metrics","version":1,"metrics":[...]}] with one
     entry per metric in (name, labels) order. *)
-
-val to_prometheus : t -> string
-(** Prometheus text exposition: [# TYPE] per metric name, histograms as
-    cumulative [_bucket{le="..."}] series plus [_sum]/[_count]. Label
-    values are escaped per the text-format spec (backslash, double
-    quote, newline). *)
 
 val encode : t -> string list
 (** Line-oriented codec for the result store: one line per metric,

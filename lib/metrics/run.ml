@@ -3,19 +3,11 @@ open Stx_sim
 type t = { stats : Stats.t; metrics : Registry.t }
 
 let simulate ?seed ?policy ?htm_policy ?lock_timeout ?locks ?max_waiters
-    ?max_steps ?on_event ~cfg ~mode spec =
+    ?max_steps ~cfg ~mode spec =
   let c = Collect.create ?policy:htm_policy () in
-  let hook =
-    match on_event with
-    | None -> Collect.handler c
-    | Some f ->
-      fun ~time ev ->
-        Collect.handler c ~time ev;
-        f ~time ev
-  in
   let stats =
     Machine.run ?seed ?policy ?htm_policy ?lock_timeout ?locks ?max_waiters
-      ?max_steps ~on_event:hook ~cfg ~mode spec
+      ?max_steps ~on_event:(Collect.handler c) ~cfg ~mode spec
   in
   { stats; metrics = Collect.registry c }
 

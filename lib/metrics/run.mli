@@ -14,15 +14,15 @@ val simulate :
   ?locks:int ->
   ?max_waiters:int ->
   ?max_steps:int ->
-  ?on_event:(time:int -> Machine.event -> unit) ->
   cfg:Stx_machine.Config.t ->
   mode:Stx_core.Mode.t ->
   Machine.spec ->
   t
-(** [Machine.run] with a {!Collect} collector composed onto [on_event]
-    (the caller's hook, when given, still sees every event). The
-    returned registry always reconciles with the returned stats — that
-    invariant is enforced by the test suite via {!Collect.check}. *)
+(** [Machine.run] with a {!Collect} collector attached. The returned
+    registry always reconciles with the returned stats — that invariant
+    is enforced by the test suite via {!Collect.check}. A run that needs
+    the trace and telemetry planes too, with every reconciliation
+    executed, is [Stx_harness.Observed.run]. *)
 
 val merge : t -> t -> t
 (** [Stats.merge] and [Registry.merge], pairwise. *)

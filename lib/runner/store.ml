@@ -60,40 +60,7 @@ let encode (r : Run.t) =
   let line fmt = Printf.ksprintf (fun str -> Buffer.add_string b str; Buffer.add_char b '\n') fmt in
   line "%s" magic;
   line "threads %d" s.Stats.threads;
-  line "commits %d" s.Stats.commits;
-  line "aborts %d" s.Stats.aborts;
-  line "conflict_aborts %d" s.Stats.conflict_aborts;
-  line "lock_sub_aborts %d" s.Stats.lock_sub_aborts;
-  line "explicit_aborts %d" s.Stats.explicit_aborts;
-  line "capacity_aborts %d" s.Stats.capacity_aborts;
-  line "stm_conflict_aborts %d" s.Stats.stm_conflict_aborts;
-  line "stm_commits %d" s.Stats.stm_commits;
-  line "stm_aborts %d" s.Stats.stm_aborts;
-  line "stm_validation_aborts %d" s.Stats.stm_validation_aborts;
-  line "stm_hw_owned_aborts %d" s.Stats.stm_hw_owned_aborts;
-  line "stm_locksub_aborts %d" s.Stats.stm_locksub_aborts;
-  line "stm_validation_cycles %d" s.Stats.stm_validation_cycles;
-  line "irrevocable_entries %d" s.Stats.irrevocable_entries;
-  line "useful_cycles %d" s.Stats.useful_cycles;
-  line "wasted_cycles %d" s.Stats.wasted_cycles;
-  line "tx_mode_cycles %d" s.Stats.tx_mode_cycles;
-  line "lock_wait_cycles %d" s.Stats.lock_wait_cycles;
-  line "backoff_cycles %d" s.Stats.backoff_cycles;
-  line "total_cycles %d" s.Stats.total_cycles;
-  line "thread_cycles %d" s.Stats.thread_cycles;
-  line "lock_acquires %d" s.Stats.lock_acquires;
-  line "lock_timeouts %d" s.Stats.lock_timeouts;
-  line "alps_executed %d" s.Stats.alps_executed;
-  line "alps_lock_attempts %d" s.Stats.alps_lock_attempts;
-  line "accuracy_hits %d" s.Stats.accuracy_hits;
-  line "accuracy_total %d" s.Stats.accuracy_total;
-  line "precise %d" s.Stats.precise;
-  line "coarse %d" s.Stats.coarse;
-  line "promoted %d" s.Stats.promoted;
-  line "training %d" s.Stats.training;
-  line "insts %d" s.Stats.insts;
-  line "tx_insts %d" s.Stats.tx_insts;
-  line "committed_tx_insts %d" s.Stats.committed_tx_insts;
+  List.iter (fun (name, get, _) -> line "%s %d" name (get s)) Stats.counters;
   let freq name tbl =
     let entries = sorted_bindings tbl in
     line "%s %d" name (List.length entries);
@@ -156,40 +123,7 @@ let decode text =
     if next () <> magic then raise Malformed;
     let threads = scalar "threads" in
     let s = Stats.create ~threads in
-    s.Stats.commits <- scalar "commits";
-    s.Stats.aborts <- scalar "aborts";
-    s.Stats.conflict_aborts <- scalar "conflict_aborts";
-    s.Stats.lock_sub_aborts <- scalar "lock_sub_aborts";
-    s.Stats.explicit_aborts <- scalar "explicit_aborts";
-    s.Stats.capacity_aborts <- scalar "capacity_aborts";
-    s.Stats.stm_conflict_aborts <- scalar "stm_conflict_aborts";
-    s.Stats.stm_commits <- scalar "stm_commits";
-    s.Stats.stm_aborts <- scalar "stm_aborts";
-    s.Stats.stm_validation_aborts <- scalar "stm_validation_aborts";
-    s.Stats.stm_hw_owned_aborts <- scalar "stm_hw_owned_aborts";
-    s.Stats.stm_locksub_aborts <- scalar "stm_locksub_aborts";
-    s.Stats.stm_validation_cycles <- scalar "stm_validation_cycles";
-    s.Stats.irrevocable_entries <- scalar "irrevocable_entries";
-    s.Stats.useful_cycles <- scalar "useful_cycles";
-    s.Stats.wasted_cycles <- scalar "wasted_cycles";
-    s.Stats.tx_mode_cycles <- scalar "tx_mode_cycles";
-    s.Stats.lock_wait_cycles <- scalar "lock_wait_cycles";
-    s.Stats.backoff_cycles <- scalar "backoff_cycles";
-    s.Stats.total_cycles <- scalar "total_cycles";
-    s.Stats.thread_cycles <- scalar "thread_cycles";
-    s.Stats.lock_acquires <- scalar "lock_acquires";
-    s.Stats.lock_timeouts <- scalar "lock_timeouts";
-    s.Stats.alps_executed <- scalar "alps_executed";
-    s.Stats.alps_lock_attempts <- scalar "alps_lock_attempts";
-    s.Stats.accuracy_hits <- scalar "accuracy_hits";
-    s.Stats.accuracy_total <- scalar "accuracy_total";
-    s.Stats.precise <- scalar "precise";
-    s.Stats.coarse <- scalar "coarse";
-    s.Stats.promoted <- scalar "promoted";
-    s.Stats.training <- scalar "training";
-    s.Stats.insts <- scalar "insts";
-    s.Stats.tx_insts <- scalar "tx_insts";
-    s.Stats.committed_tx_insts <- scalar "committed_tx_insts";
+    List.iter (fun (name, _, set) -> set s (scalar name)) Stats.counters;
     let freq name tbl =
       let n = scalar name in
       for _ = 1 to n do

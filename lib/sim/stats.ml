@@ -98,6 +98,47 @@ let create ~threads =
     per_policy = Hashtbl.create 4;
   }
 
+(* The scalar counters, in result-store order: [merge] and the store
+   codec iterate this one list, so a new counter is declared here and in
+   [create] only. *)
+let counters =
+  [
+    ("commits", (fun t -> t.commits), fun t v -> t.commits <- v);
+    ("aborts", (fun t -> t.aborts), fun t v -> t.aborts <- v);
+    ("conflict_aborts", (fun t -> t.conflict_aborts), fun t v -> t.conflict_aborts <- v);
+    ("lock_sub_aborts", (fun t -> t.lock_sub_aborts), fun t v -> t.lock_sub_aborts <- v);
+    ("explicit_aborts", (fun t -> t.explicit_aborts), fun t v -> t.explicit_aborts <- v);
+    ("capacity_aborts", (fun t -> t.capacity_aborts), fun t v -> t.capacity_aborts <- v);
+    ("stm_conflict_aborts", (fun t -> t.stm_conflict_aborts), fun t v -> t.stm_conflict_aborts <- v);
+    ("stm_commits", (fun t -> t.stm_commits), fun t v -> t.stm_commits <- v);
+    ("stm_aborts", (fun t -> t.stm_aborts), fun t v -> t.stm_aborts <- v);
+    ("stm_validation_aborts", (fun t -> t.stm_validation_aborts), fun t v -> t.stm_validation_aborts <- v);
+    ("stm_hw_owned_aborts", (fun t -> t.stm_hw_owned_aborts), fun t v -> t.stm_hw_owned_aborts <- v);
+    ("stm_locksub_aborts", (fun t -> t.stm_locksub_aborts), fun t v -> t.stm_locksub_aborts <- v);
+    ("stm_validation_cycles", (fun t -> t.stm_validation_cycles), fun t v -> t.stm_validation_cycles <- v);
+    ("irrevocable_entries", (fun t -> t.irrevocable_entries), fun t v -> t.irrevocable_entries <- v);
+    ("useful_cycles", (fun t -> t.useful_cycles), fun t v -> t.useful_cycles <- v);
+    ("wasted_cycles", (fun t -> t.wasted_cycles), fun t v -> t.wasted_cycles <- v);
+    ("tx_mode_cycles", (fun t -> t.tx_mode_cycles), fun t v -> t.tx_mode_cycles <- v);
+    ("lock_wait_cycles", (fun t -> t.lock_wait_cycles), fun t v -> t.lock_wait_cycles <- v);
+    ("backoff_cycles", (fun t -> t.backoff_cycles), fun t v -> t.backoff_cycles <- v);
+    ("total_cycles", (fun t -> t.total_cycles), fun t v -> t.total_cycles <- v);
+    ("thread_cycles", (fun t -> t.thread_cycles), fun t v -> t.thread_cycles <- v);
+    ("lock_acquires", (fun t -> t.lock_acquires), fun t v -> t.lock_acquires <- v);
+    ("lock_timeouts", (fun t -> t.lock_timeouts), fun t v -> t.lock_timeouts <- v);
+    ("alps_executed", (fun t -> t.alps_executed), fun t v -> t.alps_executed <- v);
+    ("alps_lock_attempts", (fun t -> t.alps_lock_attempts), fun t v -> t.alps_lock_attempts <- v);
+    ("accuracy_hits", (fun t -> t.accuracy_hits), fun t v -> t.accuracy_hits <- v);
+    ("accuracy_total", (fun t -> t.accuracy_total), fun t v -> t.accuracy_total <- v);
+    ("precise", (fun t -> t.precise), fun t v -> t.precise <- v);
+    ("coarse", (fun t -> t.coarse), fun t v -> t.coarse <- v);
+    ("promoted", (fun t -> t.promoted), fun t v -> t.promoted <- v);
+    ("training", (fun t -> t.training), fun t v -> t.training <- v);
+    ("insts", (fun t -> t.insts), fun t v -> t.insts <- v);
+    ("tx_insts", (fun t -> t.tx_insts), fun t v -> t.tx_insts <- v);
+    ("committed_tx_insts", (fun t -> t.committed_tx_insts), fun t v -> t.committed_tx_insts <- v);
+  ]
+
 let aborts_per_commit t = Stx_util.Stat.ratio t.aborts t.commits
 let wasted_over_useful t = Stx_util.Stat.ratio t.wasted_cycles t.useful_cycles
 let pct_irrevocable t = Stx_util.Stat.percent t.irrevocable_entries t.commits
@@ -151,43 +192,14 @@ let add_into tbl key n =
 
 let merge a b =
   let m = create ~threads:(max a.threads b.threads) in
-  m.commits <- a.commits + b.commits;
-  m.aborts <- a.aborts + b.aborts;
-  m.conflict_aborts <- a.conflict_aborts + b.conflict_aborts;
-  m.lock_sub_aborts <- a.lock_sub_aborts + b.lock_sub_aborts;
-  m.explicit_aborts <- a.explicit_aborts + b.explicit_aborts;
-  m.capacity_aborts <- a.capacity_aborts + b.capacity_aborts;
-  m.stm_conflict_aborts <- a.stm_conflict_aborts + b.stm_conflict_aborts;
-  m.stm_commits <- a.stm_commits + b.stm_commits;
-  m.stm_aborts <- a.stm_aborts + b.stm_aborts;
-  m.stm_validation_aborts <- a.stm_validation_aborts + b.stm_validation_aborts;
-  m.stm_hw_owned_aborts <- a.stm_hw_owned_aborts + b.stm_hw_owned_aborts;
-  m.stm_locksub_aborts <- a.stm_locksub_aborts + b.stm_locksub_aborts;
-  m.stm_validation_cycles <- a.stm_validation_cycles + b.stm_validation_cycles;
-  m.irrevocable_entries <- a.irrevocable_entries + b.irrevocable_entries;
-  m.useful_cycles <- a.useful_cycles + b.useful_cycles;
-  m.wasted_cycles <- a.wasted_cycles + b.wasted_cycles;
-  m.tx_mode_cycles <- a.tx_mode_cycles + b.tx_mode_cycles;
-  m.lock_wait_cycles <- a.lock_wait_cycles + b.lock_wait_cycles;
-  m.backoff_cycles <- a.backoff_cycles + b.backoff_cycles;
   (* total_cycles is a makespan, not a counter: concurrent shards overlap.
      thread_cycles is a counter: every thread's clock keeps ticking in its
      own run, so the %TM denominator sums. *)
-  m.total_cycles <- max a.total_cycles b.total_cycles;
-  m.thread_cycles <- a.thread_cycles + b.thread_cycles;
-  m.lock_acquires <- a.lock_acquires + b.lock_acquires;
-  m.lock_timeouts <- a.lock_timeouts + b.lock_timeouts;
-  m.alps_executed <- a.alps_executed + b.alps_executed;
-  m.alps_lock_attempts <- a.alps_lock_attempts + b.alps_lock_attempts;
-  m.accuracy_hits <- a.accuracy_hits + b.accuracy_hits;
-  m.accuracy_total <- a.accuracy_total + b.accuracy_total;
-  m.precise <- a.precise + b.precise;
-  m.coarse <- a.coarse + b.coarse;
-  m.promoted <- a.promoted + b.promoted;
-  m.training <- a.training + b.training;
-  m.insts <- a.insts + b.insts;
-  m.tx_insts <- a.tx_insts + b.tx_insts;
-  m.committed_tx_insts <- a.committed_tx_insts + b.committed_tx_insts;
+  List.iter
+    (fun (name, get, set) ->
+      set m
+        (if name = "total_cycles" then max (get a) (get b) else get a + get b))
+    counters;
   let union dst src = Hashtbl.iter (fun k v -> add_into dst k v) src in
   union m.conf_addr_freq a.conf_addr_freq;
   union m.conf_addr_freq b.conf_addr_freq;

@@ -75,6 +75,11 @@ type t = {
 
 val create : threads:int -> t
 
+val counters : (string * (t -> int) * (t -> int -> unit)) list
+(** Every scalar counter ([threads] and the tables excluded) as (name,
+    getter, setter), in result-store order — the one schema {!merge} and
+    the store codec iterate. *)
+
 val aborts_per_commit : t -> float
 val wasted_over_useful : t -> float
 val pct_irrevocable : t -> float

@@ -2,7 +2,7 @@ type loc = { l_func : string; l_block : int; l_inst : int }
 
 type t = {
   pc_of : (int, int) Hashtbl.t; (* iid -> pc *)
-  at_pc : (int, loc * int) Hashtbl.t; (* pc -> loc, iid *)
+  at_pc : (int, loc) Hashtbl.t;
   mutable count : int;
 }
 
@@ -19,8 +19,7 @@ let assign (p : Ir.program) =
       let f = Ir.find_func p name in
       Ir.iter_insts f (fun bi ii inst ->
           Hashtbl.replace t.pc_of inst.Ir.iid !pc;
-          Hashtbl.replace t.at_pc !pc
-            ({ l_func = name; l_block = bi; l_inst = ii }, inst.Ir.iid);
+          Hashtbl.replace t.at_pc !pc { l_func = name; l_block = bi; l_inst = ii };
           pc := !pc + stride;
           t.count <- t.count + 1))
     names;
@@ -28,9 +27,7 @@ let assign (p : Ir.program) =
 
 let pc_of_iid t iid = Hashtbl.find t.pc_of iid
 
-let loc_of_pc t pc = Option.map fst (Hashtbl.find_opt t.at_pc pc)
-
-let iid_at_pc t pc = Option.map snd (Hashtbl.find_opt t.at_pc pc)
+let loc_of_pc t pc = Hashtbl.find_opt t.at_pc pc
 
 let truncate ~bits pc = pc land ((1 lsl bits) - 1)
 

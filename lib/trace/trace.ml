@@ -228,11 +228,6 @@ let check t (stats : Stats.t) =
     match List.rev !errs with [] -> Ok () | es -> Error es
   end
 
-let check_exn t stats =
-  match check t stats with
-  | Ok () -> ()
-  | Error es -> failwith ("trace/stats divergence:\n  " ^ String.concat "\n  " es)
-
 (* --- abort attribution ------------------------------------------------- *)
 
 type attribution = {

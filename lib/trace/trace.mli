@@ -60,10 +60,6 @@ val check : t -> Stats.t -> (unit, string list) result
     a truncated stream cannot be reconciled. [Error] carries one message
     per violated invariant. *)
 
-val check_exn : t -> Stats.t -> unit
-(** @raise Failure with the joined messages when {!check} returns
-    [Error]. *)
-
 (** {2 Abort attribution} *)
 
 type attribution = {

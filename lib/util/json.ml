@@ -238,4 +238,3 @@ let as_float = function
   | _ -> None
 
 let as_list = function List l -> Some l | _ -> None
-let as_obj = function Obj fields -> Some fields | _ -> None

@@ -36,4 +36,3 @@ val as_float : t -> float option
 (** [as_float] also accepts [Int]. *)
 
 val as_list : t -> t list option
-val as_obj : t -> (string * t) list option

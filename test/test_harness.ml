@@ -189,19 +189,9 @@ let render_report () =
   let policy = Stx_policy.default in
   let spec = Workload.spec ~instrument:(Mode.uses_alps mode) ~scale w in
   let cfg = Stx_machine.Config.with_cores threads Stx_machine.Config.default in
-  let tr = Stx_trace.Trace.create ~threads () in
-  let tc = Stx_telemetry.Collect.create ~window:1000 ~threads () in
-  let r =
-    Stx_metrics.Run.simulate ~seed ~htm_policy:policy ~cfg ~mode
-      ~on_event:(fun ~time ev ->
-        Stx_trace.Trace.handler tr ~time ev;
-        Stx_telemetry.Collect.handler tc ~time ev)
-      spec
-  in
-  let series =
-    Stx_telemetry.Collect.finalize
-      ~horizon:r.Stx_metrics.Run.stats.Stx_sim.Stats.total_cycles tc
-  in
+  let o = Observed.run ~seed ~htm_policy:policy ~cfg ~mode spec in
+  Alcotest.(check (list string)) "observed checks" [] o.Observed.errors;
+  let series = o.Observed.series in
   Htmlreport.render
     {
       Htmlreport.workload = w.Workload.name;
@@ -212,9 +202,9 @@ let render_report () =
       policy;
       series;
       episodes = Stx_telemetry.Episodes.detect series;
-      stats = r.Stx_metrics.Run.stats;
-      registry = r.Stx_metrics.Run.metrics;
-      attribution = Stx_trace.Trace.abort_attribution tr;
+      stats = o.Observed.stats;
+      registry = o.Observed.metrics;
+      attribution = Stx_trace.Trace.abort_attribution o.Observed.trace;
       ab_name = string_of_int;
     }
 
@@ -257,9 +247,40 @@ let test_allocation_budget () =
       true
       (e.Bench.sim_minor_words_per_event < Bench.minor_words_budget)
 
+(* --- bench columns ------------------------------------------------------
+   A column that reads 0 in every cell measures nothing: each numeric
+   column of the bench row must be non-zero somewhere in a small matrix
+   at the CI settings. *)
+
+let test_bench_columns_nonzero () =
+  let c = Exp.create ~seed:3 ~scale:0.05 ~threads:4 () in
+  let entries =
+    List.concat_map
+      (fun name ->
+        let w = Option.get (Registry.find name) in
+        List.map
+          (fun m ->
+            Bench.entry_of_run ~workload:name ~mode:m (Exp.measure c w m))
+          [ Mode.Baseline; Mode.Addr_only; Mode.Staggered_sw; Mode.Staggered_hw ])
+      [ "genome"; "list-hi" ]
+  in
+  List.iter
+    (fun (column, value) ->
+      Alcotest.(check bool) (column ^ " non-zero in some cell") true
+        (List.exists (fun e -> value e <> 0.) entries))
+    [
+      ("throughput", fun e -> e.Bench.throughput);
+      ("abort_rate", fun e -> e.Bench.abort_rate);
+      ("p99_latency", fun e -> float_of_int e.Bench.p99_latency);
+      ("prefix_share", fun e -> e.Bench.prefix_share);
+      ("suffix_share", fun e -> e.Bench.suffix_share);
+    ]
+
 let suite =
   [
     Alcotest.test_case "exp memoizes runs" `Quick test_exp_memoizes;
+    Alcotest.test_case "bench columns non-zero" `Quick
+      test_bench_columns_nonzero;
     Alcotest.test_case "allocation budget per simulated event" `Slow
       test_allocation_budget;
     Alcotest.test_case "sequential speedup is 1" `Quick

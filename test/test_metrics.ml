@@ -266,49 +266,16 @@ let test_registry_json_golden () =
    ^ "\"count\":3,\"sum\":11,\"min\":0,\"max\":6,\"buckets\":[[0,1,0],[3,2,6]]}]}")
     (Registry.to_json_string (sample_registry ()))
 
-let test_registry_prometheus_golden () =
-  Alcotest.(check string) "exposition"
-    "# TYPE stx_commits counter\n\
-     stx_commits 5\n\
-     # TYPE stx_depth gauge\n\
-     stx_depth{q=\"a\"} 7\n\
-     # TYPE stx_lat histogram\n\
-     stx_lat_bucket{outcome=\"commit\",le=\"0\"} 1\n\
-     stx_lat_bucket{outcome=\"commit\",le=\"7\"} 3\n\
-     stx_lat_bucket{outcome=\"commit\",le=\"+Inf\"} 3\n\
-     stx_lat_sum{outcome=\"commit\"} 11\n\
-     stx_lat_count{outcome=\"commit\"} 3\n"
-    (Registry.to_prometheus (sample_registry ()))
-
 let test_registry_codec_round_trip () =
   let r = sample_registry () in
   match Registry.decode (Registry.encode r) with
   | None -> Alcotest.fail "decode rejected its own encode"
   | Some r' -> Alcotest.(check bool) "equal" true (Registry.equal r r')
 
-(* values with every character the exposition format escapes, plus the
-   bytes the store codec's own framing uses *)
+(* values with backslashes, quotes, newlines and the bytes the store
+   codec's own framing uses *)
 let hairy_values =
   [ "back\\slash"; "dou\"ble"; "new\nline"; "sp ace,co=mma\ttab\rcr"; "plain" ]
-
-let test_registry_prometheus_escaping () =
-  let r = Registry.create () in
-  Registry.inc r "m" [ ("v", "a\\b\"c\nd") ];
-  Alcotest.(check string) "escaped exposition"
-    "# TYPE m counter\nm{v=\"a\\\\b\\\"c\\nd\"} 1\n" (Registry.to_prometheus r);
-  (* a raw newline in a value would add a line to the exposition; the
-     escaped form is always exactly TYPE line + sample line *)
-  List.iter
-    (fun v ->
-      let r = Registry.create () in
-      Registry.inc r "m" [ ("k", v) ];
-      let lines =
-        Registry.to_prometheus r |> String.split_on_char '\n'
-        |> List.filter (fun l -> l <> "")
-      in
-      Alcotest.(check int) ("line count for " ^ String.escaped v) 2
-        (List.length lines))
-    hairy_values
 
 let test_registry_codec_escapes_label_values () =
   let r = Registry.create () in
@@ -367,15 +334,14 @@ let run_with_trace (w : Stx_workloads.Workload.t) mode =
         ~instrument:(Stx_core.Mode.uses_alps mode)
         ~scale w
     in
-    let tr = Stx_trace.Trace.create ~threads () in
     let cfg = Stx_machine.Config.with_cores threads Stx_machine.Config.default in
-    let r =
-      Run.simulate ~seed ~cfg ~mode
-        ~on_event:(Stx_trace.Trace.handler tr)
+    let o =
+      Stx_harness.Observed.run ~seed ~htm_policy:Stx_policy.default ~cfg ~mode
         spec
     in
-    Hashtbl.add measured key (r, tr);
-    (r, tr)
+    let r = { Run.stats = o.Stx_harness.Observed.stats; metrics = o.metrics } in
+    Hashtbl.add measured key (r, o.trace);
+    (r, o.trace)
 
 let test_online_equals_replay () =
   List.iter
@@ -451,9 +417,7 @@ let test_gcstats_stamp () =
     go 0
   in
   Alcotest.(check bool) "in the JSON snapshot" true
-    (contains (Registry.to_json_string out) "stx_gc_minor_words");
-  Alcotest.(check bool) "in the Prometheus exposition" true
-    (contains (Registry.to_prometheus out) "stx_gc_major_collections")
+    (contains (Registry.to_json_string out) "stx_gc_minor_words")
 
 (* --- the phase profile: the paper's claim, measured -------------------- *)
 
@@ -739,10 +703,6 @@ let suite =
     Alcotest.test_case "registry merge" `Quick test_registry_merge;
     Alcotest.test_case "equal and diff" `Quick test_registry_equal_and_diff;
     Alcotest.test_case "json snapshot golden" `Quick test_registry_json_golden;
-    Alcotest.test_case "prometheus golden" `Quick
-      test_registry_prometheus_golden;
-    Alcotest.test_case "prometheus label escaping" `Quick
-      test_registry_prometheus_escaping;
     Alcotest.test_case "codec escapes label values" `Quick
       test_registry_codec_escapes_label_values;
     Alcotest.test_case "store codec round trip" `Quick

@@ -201,28 +201,14 @@ let test_non_default_policies_reconcile () =
               ~scale:0.05 w
           in
           let cfg = Config.with_cores threads Config.default in
-          let tr = Stx_trace.Trace.create ~threads () in
-          let r =
-            Stx_metrics.Run.simulate ~seed:3 ~htm_policy ~cfg ~mode
-              ~on_event:(Stx_trace.Trace.handler tr) spec
-          in
-          let s = r.Stx_metrics.Run.stats in
+          let o = Stx_harness.Observed.run ~seed:3 ~htm_policy ~cfg ~mode spec in
           let label = Stx_policy.label htm_policy in
           Alcotest.(check bool)
             (Printf.sprintf "%s/%s made progress" name label)
-            true (s.Stats.commits > 0);
-          (match Stx_trace.Trace.check tr s with
-          | Ok () -> ()
-          | Error errs ->
-            Alcotest.fail
-              (Printf.sprintf "%s/%s trace check: %s" name label
-                 (String.concat "; " errs)));
-          match Stx_metrics.Collect.check r.Stx_metrics.Run.metrics s with
-          | Ok () -> ()
-          | Error errs ->
-            Alcotest.fail
-              (Printf.sprintf "%s/%s metrics check: %s" name label
-                 (String.concat "; " errs)))
+            true (o.Stx_harness.Observed.stats.Stats.commits > 0);
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s/%s observed checks" name label)
+            [] o.Stx_harness.Observed.errors)
         non_default_policies)
     check_workloads
 

@@ -212,22 +212,13 @@ let reconcile_workload name =
   let mode = Mode.Staggered_hw in
   let spec = Stx_workloads.Workload.spec ~instrument:true ~scale:0.05 w in
   let cfg = Config.with_cores threads Config.default in
-  let tr = Stx_trace.Trace.create ~threads () in
-  let r =
-    Stx_metrics.Run.simulate ~seed:3 ~htm_policy:(stm_policy ~hw_retries:2 ())
-      ~cfg ~mode
-      ~on_event:(Stx_trace.Trace.handler tr) spec
+  let o =
+    Stx_harness.Observed.run ~seed:3 ~htm_policy:(stm_policy ~hw_retries:2 ())
+      ~cfg ~mode spec
   in
-  let s = r.Stx_metrics.Run.stats in
-  (match Stx_trace.Trace.check tr s with
-  | Ok () -> ()
-  | Error es ->
-    Alcotest.fail (name ^ ": trace check: " ^ String.concat "; " es));
-  (match Stx_metrics.Collect.check r.Stx_metrics.Run.metrics s with
-  | Ok () -> ()
-  | Error es ->
-    Alcotest.fail (name ^ ": metrics check: " ^ String.concat "; " es));
-  s
+  Alcotest.(check (list string)) (name ^ ": observed checks") []
+    o.Stx_harness.Observed.errors;
+  o.Stx_harness.Observed.stats
 
 let test_reconcile_list_hi () = ignore (reconcile_workload "list-hi")
 let test_reconcile_intruder () = ignore (reconcile_workload "intruder")

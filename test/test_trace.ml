@@ -555,13 +555,15 @@ let test_chrome_and_registry_pinned () =
     (fun (name, threads, htm_policy, chrome_digest, registry_digest) ->
       let w = Option.get (Registry.find name) in
       let mode = Mode.Staggered_hw in
-      let tr = Trace.create ~threads () in
-      let r =
-        Stx_metrics.Run.simulate ~seed:3 ~htm_policy
+      let o =
+        Stx_harness.Observed.run ~seed:3 ~htm_policy
           ~cfg:(Stx_machine.Config.with_cores threads Stx_machine.Config.default)
-          ~mode ~on_event:(Trace.handler tr)
+          ~mode
           (Workload.spec ~instrument:true ~scale:0.05 w)
       in
+      Alcotest.(check (list string)) (name ^ " observed checks") []
+        o.Stx_harness.Observed.errors;
+      let tr = o.Stx_harness.Observed.trace in
       let waiting = Array.make threads false in
       Trace.iter tr (fun ~time:_ ev ->
           match ev with
@@ -579,7 +581,7 @@ let test_chrome_and_registry_pinned () =
       Alcotest.(check string) (name ^ " chrome digest") chrome_digest
         (hex (Trace.to_chrome_json tr));
       Alcotest.(check string) (name ^ " registry digest") registry_digest
-        (hex (String.concat "\n" (Stx_metrics.Registry.encode r.Stx_metrics.Run.metrics))))
+        (hex (String.concat "\n" (Stx_metrics.Registry.encode o.Stx_harness.Observed.metrics))))
     pinned_cells;
   Alcotest.(check bool) "a software commit" true (!stm_commits > 0);
   Alcotest.(check bool) "a lock-wait episode" true (!waits > 0);
