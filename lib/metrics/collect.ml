@@ -42,119 +42,186 @@ let phase_label = function
 let phase_labels ~ab p =
   [ ("ab", string_of_int ab); ("phase", phase_label p) ]
 
-type t = {
-  reg : Registry.t;
-  lc : Lifecycle.t;
-  pol : (string * string) list;
-      (* the policy label, appended to every series this collector writes *)
-}
+(* [create] resolves every fixed series to a registry handle once, and
+   the phase counters of each atomic block when the block first appears,
+   so the handler builds no label list or key per event. A handle writes
+   nothing until its first event: the registry holds exactly the series
+   a string-keyed write per event would have created. *)
+
+type t = { reg : Registry.t; handler : time:int -> Machine.event -> unit }
 
 let create ?(policy = Stx_policy.default) () =
-  {
-    reg = Registry.create ();
-    lc = Lifecycle.create ();
-    pol = [ ("policy", Stx_policy.label policy) ];
-  }
-
-let registry t = t.reg
-
-let add_phase t ~ab p c =
-  if c > 0 then Registry.inc t.reg ~by:c m_phase (phase_labels ~ab p @ t.pol)
-
-let handler t ~time ev =
+  let reg = Registry.create () in
+  let lc = Lifecycle.create () in
   (* every series carries the collector's policy label *)
-  let inc ?by name labels = Registry.inc t.reg ?by name (labels @ t.pol) in
-  let observe name labels v = Registry.observe t.reg name (labels @ t.pol) v in
-  (* attempt and wait-episode spans close from the state before [ev] *)
-  let th = Lifecycle.thread t.lc (Lifecycle.event_tid ev) in
-  let in_attempt = th.Lifecycle.ab >= 0 in
-  let close_wait outcome =
-    (* episodes are tracked inside attempts only; an abort lands mid-spin
-       when the victim was doomed while queued, and the episode's tail
-       (plus abort costs charged before emission) is already inside the
-       wasted cycles *)
-    if in_attempt && th.Lifecycle.wait_lock >= 0 then
-      observe m_lock_wait [ ("outcome", outcome) ] (time - th.Lifecycle.wait_since)
+  let pol = [ ("policy", Stx_policy.label policy) ] in
+  let counter name labels = Registry.counter reg name (labels @ pol) in
+  let hist name labels = Registry.hist reg name (labels @ pol) in
+  let inc c = Registry.add c 1 and record = Registry.record in
+  let attempt outcome =
+    let lat = hist m_latency outcome
+    and rs = hist m_rset outcome
+    and ws = hist m_wset outcome in
+    fun ~cycles ~rset ~wset ->
+      record lat cycles;
+      record rs rset;
+      record ws wset
   in
-  (match (ev : Machine.event) with
-  | Machine.Tx_begin _ | Machine.Stm_begin _ | Machine.Lock_waiting _
-  | Machine.Lock_released _ | Machine.Backoff_start _ ->
-    ()
-  | Machine.Lock_acquired _ ->
-    inc m_lock_acquires [];
-    close_wait "acquired"
-  | Machine.Lock_timeout _ ->
-    inc m_lock_timeouts [];
-    close_wait "timeout"
-  | Machine.Lock_attempt _ -> inc m_lock_attempts []
-  | Machine.Tx_commit { ab; cycles; irrevocable; rset; wset; _ } ->
-    inc m_commits [];
-    observe m_latency outcome_commit cycles;
-    observe m_rset outcome_commit rset;
-    observe m_wset outcome_commit wset;
-    if not in_attempt then begin
-      (* commit without a begin: degraded stream; count everything as
-         prefix so the cycle identities still hold *)
-      observe m_retries [] 0;
-      add_phase t ~ab (if irrevocable then Irrevocable else Prefix) cycles
+  let committed = attempt outcome_commit and aborted = attempt outcome_abort in
+  let commits = counter m_commits [] and stm_commits = counter m_stm_commits [] in
+  let stm_vcycles = counter m_stm_vcycles [] in
+  let kind label = [ ("kind", label) ] in
+  let abort_counter =
+    let c k = counter m_aborts (kind (Lifecycle.abort_label k)) in
+    let conflict = c Machine.Conflict and lock_sub = c Machine.Lock_subscription
+    and capacity = c Machine.Capacity and explicit = c Machine.Explicit
+    and stm_conflict = c Machine.Stm_conflict in
+    function
+    | Machine.Conflict -> conflict
+    | Machine.Lock_subscription -> lock_sub
+    | Machine.Capacity -> capacity
+    | Machine.Explicit -> explicit
+    | Machine.Stm_conflict -> stm_conflict
+  in
+  (* a software abort counts under stx_aborts and stx_stm_aborts *)
+  let stm_abort_counters =
+    let c k =
+      let l = kind (Lifecycle.stm_abort_label k) in
+      (counter m_aborts l, counter m_stm_aborts l)
+    in
+    let validation = c Machine.Stm_validation and hw_owned = c Machine.Stm_hw_owned
+    and locksub = c Machine.Stm_locksub and explicit = c Machine.Stm_explicit in
+    function
+    | Machine.Stm_validation -> validation
+    | Machine.Stm_hw_owned -> hw_owned
+    | Machine.Stm_locksub -> locksub
+    | Machine.Stm_explicit -> explicit
+  in
+  let retries = hist m_retries [] and irrevocable_cycles = hist m_irrevocable [] in
+  let backoff = hist m_backoff [] in
+  let wait outcome = hist m_lock_wait [ ("outcome", outcome) ] in
+  let wait_acquired = wait "acquired" and wait_timeout = wait "timeout" in
+  let wait_aborted = wait "aborted" in
+  let irrevocable_entries = counter m_irrevocable_entries [] in
+  let lock_attempts = counter m_lock_attempts [] in
+  let lock_acquires = counter m_lock_acquires [] in
+  let lock_timeouts = counter m_lock_timeouts [] in
+  let alps_executed = counter m_alps_executed [] in
+  let alps_fired = counter m_alps_fired [] in
+  let phase_counters ab =
+    let c p = counter m_phase (phase_labels ~ab p) in
+    let prefix = c Prefix and lock_wait = c Lock_wait and suffix = c Suffix
+    and irrevocable = c Irrevocable and stm = c Stm and backoff = c Backoff
+    and wasted = c Wasted in
+    function
+    | Prefix -> prefix
+    | Lock_wait -> lock_wait
+    | Suffix -> suffix
+    | Irrevocable -> irrevocable
+    | Stm -> stm
+    | Backoff -> backoff
+    | Wasted -> wasted
+  in
+  let by_ab = ref [||] in
+  let add_phase ~ab p c =
+    if c > 0 then begin
+      let n = Array.length !by_ab in
+      if ab >= n then
+        by_ab :=
+          Array.init (max (ab + 1) (2 * n)) (fun i ->
+              if i < n then !by_ab.(i) else phase_counters i);
+      (* a negative id only comes from a degraded stream: not cached *)
+      let counters = if ab < 0 then phase_counters ab else !by_ab.(ab) in
+      Registry.add (counters p) c
     end
-    else begin
-      observe m_retries [] th.Lifecycle.attempt;
-      if irrevocable then begin
-        observe m_irrevocable [] cycles;
-        add_phase t ~ab Irrevocable cycles
+  in
+  (* episodes are tracked inside attempts only; an abort lands mid-spin
+     when the victim was doomed while queued, and the episode's tail
+     (plus abort costs charged before emission) is already inside the
+     wasted cycles *)
+  let close_wait (th : Lifecycle.thread) ~time h =
+    if th.ab >= 0 && th.wait_lock >= 0 then record h (time - th.wait_since)
+  in
+  let handler ~time ev =
+    (* attempt and wait-episode spans close from the state before [ev] *)
+    let th = Lifecycle.thread lc (Lifecycle.event_tid ev) in
+    let in_attempt = th.Lifecycle.ab >= 0 in
+    (match (ev : Machine.event) with
+    | Machine.Tx_begin _ | Machine.Stm_begin _ | Machine.Lock_waiting _
+    | Machine.Lock_released _ | Machine.Backoff_start _ ->
+      ()
+    | Machine.Lock_acquired _ ->
+      inc lock_acquires;
+      close_wait th ~time wait_acquired
+    | Machine.Lock_timeout _ ->
+      inc lock_timeouts;
+      close_wait th ~time wait_timeout
+    | Machine.Lock_attempt _ -> inc lock_attempts
+    | Machine.Tx_commit { ab; cycles; irrevocable; rset; wset; _ } ->
+      inc commits;
+      committed ~cycles ~rset ~wset;
+      if not in_attempt then begin
+        (* commit without a begin: degraded stream; count everything as
+           prefix so the cycle identities still hold *)
+        record retries 0;
+        add_phase ~ab (if irrevocable then Irrevocable else Prefix) cycles
       end
       else begin
-        let acq = th.Lifecycle.first_acquire in
-        let suffix = if acq >= 0 then time - acq else 0 in
-        add_phase t ~ab Prefix (cycles - th.Lifecycle.waited - suffix);
-        add_phase t ~ab Lock_wait th.Lifecycle.waited;
-        add_phase t ~ab Suffix suffix
+        record retries th.Lifecycle.attempt;
+        if irrevocable then begin
+          record irrevocable_cycles cycles;
+          add_phase ~ab Irrevocable cycles
+        end
+        else begin
+          let acq = th.Lifecycle.first_acquire in
+          let suffix = if acq >= 0 then time - acq else 0 in
+          add_phase ~ab Prefix (cycles - th.Lifecycle.waited - suffix);
+          add_phase ~ab Lock_wait th.Lifecycle.waited;
+          add_phase ~ab Suffix suffix
+        end
       end
-    end
-  | Machine.Tx_abort { ab; kind; cycles; rset; wset; _ } ->
-    inc m_aborts [ ("kind", Lifecycle.abort_label kind) ];
-    observe m_latency outcome_abort cycles;
-    observe m_rset outcome_abort rset;
-    observe m_wset outcome_abort wset;
-    add_phase t ~ab Wasted cycles;
-    close_wait "aborted"
-  | Machine.Tx_irrevocable _ -> inc m_irrevocable_entries []
-  | Machine.Alp_executed { fired; _ } ->
-    inc m_alps_executed [];
-    if fired then inc m_alps_fired []
-  | Machine.Backoff_end _ ->
-    let t0 = th.Lifecycle.backoff_since in
-    if t0 >= 0 then begin
-      observe m_backoff [] (time - t0);
-      add_phase t ~ab:th.Lifecycle.last_ab Backoff (time - t0)
-    end
-  | Machine.Req_dispatch _ | Machine.Req_done _ ->
-    (* request lifecycle is the serving harness's plane (Stx_serve); the
-       transaction-level registry ignores it so serve and closed-loop
-       runs of one workload stay directly comparable *)
-    ()
-  | Machine.Stm_commit { ab; cycles; vcycles; rset; wset; _ } ->
-    inc m_commits [];
-    inc m_stm_commits [];
-    if vcycles > 0 then inc ~by:vcycles m_stm_vcycles [];
-    observe m_latency outcome_commit cycles;
-    observe m_rset outcome_commit rset;
-    observe m_wset outcome_commit wset;
-    observe m_retries [] (if in_attempt then th.Lifecycle.attempt else 0);
-    (* the whole software attempt is one phase: its validation traffic is
-       reported through m_stm_vcycles, not a phase split *)
-    add_phase t ~ab Stm cycles
-  | Machine.Stm_abort { ab; kind; cycles; vcycles; rset; wset; _ } ->
-    let kind = [ ("kind", Lifecycle.stm_abort_label kind) ] in
-    inc m_aborts kind;
-    inc m_stm_aborts kind;
-    if vcycles > 0 then inc ~by:vcycles m_stm_vcycles [];
-    observe m_latency outcome_abort cycles;
-    observe m_rset outcome_abort rset;
-    observe m_wset outcome_abort wset;
-    add_phase t ~ab Wasted cycles);
-  ignore (Lifecycle.step t.lc th ~time ev)
+    | Machine.Tx_abort { ab; kind; cycles; rset; wset; _ } ->
+      inc (abort_counter kind);
+      aborted ~cycles ~rset ~wset;
+      add_phase ~ab Wasted cycles;
+      close_wait th ~time wait_aborted
+    | Machine.Tx_irrevocable _ -> inc irrevocable_entries
+    | Machine.Alp_executed { fired; _ } ->
+      inc alps_executed;
+      if fired then inc alps_fired
+    | Machine.Backoff_end _ ->
+      let t0 = th.Lifecycle.backoff_since in
+      if t0 >= 0 then begin
+        record backoff (time - t0);
+        add_phase ~ab:th.Lifecycle.last_ab Backoff (time - t0)
+      end
+    | Machine.Req_dispatch _ | Machine.Req_done _ ->
+      (* request lifecycle is the serving harness's plane (Stx_serve); the
+         transaction-level registry ignores it so serve and closed-loop
+         runs of one workload stay directly comparable *)
+      ()
+    | Machine.Stm_commit { ab; cycles; vcycles; rset; wset; _ } ->
+      inc commits;
+      inc stm_commits;
+      if vcycles > 0 then Registry.add stm_vcycles vcycles;
+      committed ~cycles ~rset ~wset;
+      record retries (if in_attempt then th.Lifecycle.attempt else 0);
+      (* the whole software attempt is one phase: its validation traffic
+         is reported through m_stm_vcycles, not a phase split *)
+      add_phase ~ab Stm cycles
+    | Machine.Stm_abort { ab; kind; cycles; vcycles; rset; wset; _ } ->
+      let all, stm = stm_abort_counters kind in
+      inc all;
+      inc stm;
+      if vcycles > 0 then Registry.add stm_vcycles vcycles;
+      aborted ~cycles ~rset ~wset;
+      add_phase ~ab Wasted cycles);
+    ignore (Lifecycle.step lc th ~time ev)
+  in
+  { reg; handler }
+
+let registry t = t.reg
+let handler t = t.handler
 
 let of_trace ?policy tr =
   let t = create ?policy () in
@@ -195,17 +262,17 @@ let abs_profiled reg =
 let phase_total reg p =
   List.fold_left (fun acc ab -> acc + phase_cycles reg ~ab p) 0 (abs_profiled reg)
 
+let histogram_opt reg name labels =
+  Registry.fold
+    (fun n ls v acc ->
+      match v with
+      | Registry.Histogram h when n = name && label_subset labels ls ->
+        Some (Hist.merge (Option.value acc ~default:(Hist.create ())) h)
+      | _ -> acc)
+    reg None
+
 let histogram reg name labels =
-  let merged =
-    Registry.fold
-      (fun n ls v acc ->
-        match v with
-        | Registry.Histogram h when n = name && label_subset labels ls ->
-          Some (Hist.merge (Option.value acc ~default:(Hist.create ())) h)
-        | _ -> acc)
-      reg None
-  in
-  match merged with
+  match histogram_opt reg name labels with
   | Some h -> h
   | None ->
     failwith

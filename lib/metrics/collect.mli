@@ -104,9 +104,13 @@ val abs_profiled : Registry.t -> int list
 val phase_total : Registry.t -> phase -> int
 (** Summed over atomic blocks. *)
 
-val histogram : Registry.t -> string -> Registry.labels -> Hist.t
+val histogram_opt : Registry.t -> string -> Registry.labels -> Hist.t option
 (** Every histogram series of that name whose labels include [labels],
-    merged into a fresh value — so [histogram reg
+    merged into a fresh value; [None] when none matches — for readers
+    whose series may legitimately be absent. *)
+
+val histogram : Registry.t -> string -> Registry.labels -> Hist.t
+(** {!histogram_opt} for series that must exist — so [histogram reg
     "stx_tx_latency_cycles" [ ("outcome", "commit") ]] reads a registry
     of any policy label, or of several.
     @raise Failure naming the series when none matches: a lookup that

@@ -59,24 +59,49 @@ let type_clash (name, _) have want =
     (Printf.sprintf "Registry: %s is a %s, used as a %s" name (kind_name have)
        want)
 
-let inc t ?(by = 1) name labels =
-  if by < 0 then invalid_arg "Registry.inc: negative increment";
-  let k = key name labels in
-  match cell t k (fun () -> C (ref 0)) with
+(* --- resolved handles --------------------------------------------------
+
+   A handle carries its checked, sorted key; the first write binds it to
+   the table's cell (creating the cell then), later writes go straight to
+   the bound cell. A series resolved but never written therefore stays
+   out of the table, and out of every export. *)
+
+type handle = { reg : t; hkey : string * labels; mutable bound : cell option }
+type counter = handle
+type hist = handle
+
+let resolve t name labels = { reg = t; hkey = key name labels; bound = None }
+let counter = resolve
+let hist = resolve
+
+let bound h mk =
+  match h.bound with
+  | Some c -> c
+  | None ->
+    let c = cell h.reg h.hkey mk in
+    h.bound <- Some c;
+    c
+
+let add h by =
+  if by < 0 then invalid_arg "Registry.add: negative increment";
+  match bound h (fun () -> C (ref 0)) with
   | C r -> r := !r + by
-  | c -> type_clash k c "counter"
+  | c -> type_clash h.hkey c "counter"
+
+let record h v =
+  match bound h (fun () -> H (Hist.create ())) with
+  | H x -> Hist.add x v
+  | c -> type_clash h.hkey c "histogram"
+
+(* the string-keyed writers resolve and write in one call *)
+
+let inc t ?(by = 1) name labels = add (counter t name labels) by
+let observe t name labels v = record (hist t name labels) v
 
 let set_gauge t name labels v =
-  let k = key name labels in
-  match cell t k (fun () -> G (ref v)) with
+  match bound (resolve t name labels) (fun () -> G (ref v)) with
   | G r -> if v > !r then r := v
-  | c -> type_clash k c "gauge"
-
-let observe t name labels v =
-  let k = key name labels in
-  match cell t k (fun () -> H (Hist.create ())) with
-  | H h -> Hist.add h v
-  | c -> type_clash k c "histogram"
+  | c -> type_clash (name, labels) c "gauge"
 
 let find t name labels = Hashtbl.find_opt t.tbl (key name labels)
 

@@ -8,6 +8,12 @@
     the online collector and the trace-replay collector be compared for
     exact equality (see {!Collect}).
 
+    Hot writers resolve a series to a {!counter} or {!hist} handle once
+    (checking and sorting its key then) and write the cached cell
+    directly; {!inc}, {!observe} and {!set_gauge} resolve and write in
+    one call. A series enters the registry on its {e first write}, so a
+    handle never written adds nothing to any export.
+
     {!merge} follows the [Stats.merge] conventions: counters and
     histograms are accumulations and sum; gauges are high-water marks
     (capacities, not counts) and take the max. *)
@@ -31,14 +37,32 @@ val create : unit -> t
     metric identity is part of each exporter's schema, so a malformed
     one is a programming error, not data. *)
 
+(** {2 Writing} *)
+
+type counter
+type hist
+
+val counter : t -> string -> labels -> counter
+val hist : t -> string -> labels -> hist
+(** Check and sort the key; the type-clash check waits for the first
+    write. *)
+
+val add : counter -> int -> unit
+(** Add [by] (must be >= 0) to the counter, creating it at 0. *)
+
+val record : hist -> int -> unit
+(** Record one histogram observation (non-negative). *)
+
 val inc : t -> ?by:int -> string -> labels -> unit
-(** Add [by] (default 1, must be >= 0) to a counter, creating it at 0. *)
+(** {!add} [by] (default 1) through a fresh handle. *)
 
 val set_gauge : t -> string -> labels -> int -> unit
 (** Raise a gauge to [v] if [v] exceeds its current value (create at [v]). *)
 
 val observe : t -> string -> labels -> int -> unit
-(** Record one histogram observation (non-negative). *)
+(** {!record} one observation through a fresh handle. *)
+
+(** {2 Reading} *)
 
 val counter_value : t -> string -> labels -> int
 (** 0 when absent. *)

@@ -158,6 +158,7 @@ let run_shard cfg ~shard ~shard_seed =
       cfg.service
   in
   let sreg = Registry.create () in
+  let queue_depth = Registry.hist sreg "stx_req_queue_depth" [] in
   let telem =
     Option.map
       (fun w -> Stx_telemetry.Collect.create ~window:w ~threads:cfg.threads ())
@@ -180,7 +181,7 @@ let run_shard cfg ~shard ~shard_seed =
         let req = !next in
         let depth = arrived_by ats now - req in
         if depth > !max_depth then max_depth := depth;
-        Registry.observe sreg "stx_req_queue_depth" [] depth;
+        Registry.record queue_depth depth;
         Option.iter
           (fun tc -> Stx_telemetry.Collect.note_queue_depth tc ~at:now depth)
           telem;
@@ -210,6 +211,15 @@ let run_shard cfg ~shard ~shard_seed =
       ~mode:cfg.mode ~on_event ~injector spec
   in
   (* fold the lifecycle into the serving-plane metrics *)
+  let sojourn = Registry.hist sreg "stx_req_sojourn_cycles" []
+  and wait = Registry.hist sreg "stx_req_wait_cycles" []
+  and service = Registry.hist sreg "stx_req_service_cycles" []
+  and busy =
+    (* indexed by [r.core], a tid of this shard's [cfg.threads]-core machine *)
+    Array.init cfg.threads (fun core ->
+        Registry.counter sreg "stx_req_busy_cycles"
+          [ ("core", string_of_int core) ])
+  in
   Array.iter
     (fun r ->
       if r.completed >= 0 then begin
@@ -218,14 +228,10 @@ let run_shard cfg ~shard ~shard_seed =
             Stx_telemetry.Collect.note_sojourn tc ~at:r.completed
               (r.completed - r.at))
           telem;
-        Registry.observe sreg "stx_req_sojourn_cycles" [] (r.completed - r.at);
-        Registry.observe sreg "stx_req_wait_cycles" [] (r.dispatched - r.at);
-        Registry.observe sreg "stx_req_service_cycles" []
-          (r.completed - r.dispatched);
-        Registry.inc sreg
-          ~by:(r.completed - r.dispatched)
-          "stx_req_busy_cycles"
-          [ ("core", string_of_int r.core) ]
+        Registry.record sojourn (r.completed - r.at);
+        Registry.record wait (r.dispatched - r.at);
+        Registry.record service (r.completed - r.dispatched);
+        Registry.add busy.(r.core) (r.completed - r.dispatched)
       end)
     reqs;
   if n > 0 then Registry.inc sreg ~by:n "stx_req_offered" [];
@@ -320,7 +326,10 @@ let run ?jobs cfg =
     errors;
   }
 
-let sojourn report = Registry.histogram report.registry "stx_req_sojourn_cycles" []
+(* the serving-plane readers match by label subset, like every
+   transaction-level reader, so a series that gains a label still reads *)
+let sojourn report =
+  Collect.histogram_opt report.registry "stx_req_sojourn_cycles" []
 
 let occupancy report =
   if report.makespan <= 0 then 0.0
@@ -350,7 +359,7 @@ let render cfg report =
     report.makespan
     (if report.saturated then "  SATURATED" else "");
   let line name key =
-    match Registry.histogram report.registry key [] with
+    match Collect.histogram_opt report.registry key [] with
     | None -> ()
     | Some h ->
       pf "  %-18s p50 %-7d p95 %-7d p99 %-7d p99.9 %-7d max %d\n" name

@@ -99,7 +99,9 @@ val run : ?jobs:int -> config -> report
     Raises [Failure] if a shard simulation dies. *)
 
 val sojourn : report -> Stx_metrics.Hist.t option
-(** The merged sojourn-latency histogram ([stx_req_sojourn_cycles]). *)
+(** The merged sojourn-latency histogram: every [stx_req_sojourn_cycles]
+    series, read by label subset ({!Stx_metrics.Collect.histogram_opt});
+    [None] when the run recorded none. *)
 
 val occupancy : report -> float
 (** Mean busy fraction across cores and shards: total request service

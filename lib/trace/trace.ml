@@ -1,17 +1,17 @@
 open Stx_sim
 
-type entry = { time : int; ev : Machine.event }
-
+(* times and events in two parallel arrays: no per-event record *)
 type t = {
   n_threads : int;
   capacity : int; (* 0 = unbounded (full capture) *)
-  mutable arr : entry array;
+  mutable times : int array;
+  mutable evs : Machine.event array;
   mutable len : int;
   mutable head : int;
   mutable n_dropped : int;
 }
 
-let dummy = { time = 0; ev = Machine.Backoff_start { tid = 0 } }
+let dummy = Machine.Backoff_start { tid = 0 }
 
 let create ?capacity ~threads () =
   let capacity =
@@ -25,30 +25,38 @@ let create ?capacity ~threads () =
   {
     n_threads = threads;
     capacity;
-    arr = Array.make initial dummy;
+    times = Array.make initial 0;
+    evs = Array.make initial dummy;
     len = 0;
     head = 0;
     n_dropped = 0;
   }
 
+let put t i ~time ev =
+  t.times.(i) <- time;
+  t.evs.(i) <- ev
+
 let handler t ~time ev =
-  let e = { time; ev } in
   if t.capacity = 0 then begin
-    if t.len = Array.length t.arr then begin
-      let bigger = Array.make (2 * t.len) dummy in
-      Array.blit t.arr 0 bigger 0 t.len;
-      t.arr <- bigger
+    if t.len = Array.length t.evs then begin
+      let grow a fill =
+        let bigger = Array.make (2 * t.len) fill in
+        Array.blit a 0 bigger 0 t.len;
+        bigger
+      in
+      t.times <- grow t.times 0;
+      t.evs <- grow t.evs dummy
     end;
-    t.arr.(t.len) <- e;
+    put t t.len ~time ev;
     t.len <- t.len + 1
   end
   else if t.len < t.capacity then begin
-    t.arr.((t.head + t.len) mod t.capacity) <- e;
+    put t ((t.head + t.len) mod t.capacity) ~time ev;
     t.len <- t.len + 1
   end
   else begin
     (* ring full: the oldest event makes room *)
-    t.arr.(t.head) <- e;
+    put t t.head ~time ev;
     t.head <- (t.head + 1) mod t.capacity;
     t.n_dropped <- t.n_dropped + 1
   end
@@ -58,10 +66,10 @@ let dropped t = t.n_dropped
 let threads t = t.n_threads
 
 let iter t f =
-  let cap = Array.length t.arr in
+  let cap = Array.length t.evs in
   for i = 0 to t.len - 1 do
-    let e = t.arr.((t.head + i) mod cap) in
-    f ~time:e.time e.ev
+    let j = (t.head + i) mod cap in
+    f ~time:t.times.(j) t.evs.(j)
   done
 
 let events t =

@@ -247,6 +247,33 @@ let test_allocation_budget () =
       true
       (e.Bench.sim_minor_words_per_event < Bench.minor_words_budget)
 
+(* The same budget holds for an observed run: the trace, metrics and
+   telemetry collectors attached, then every check and replay, under the
+   hybrid HTM/STM bundle. Per-event label lists, string keys or boxed
+   trace records push it over. *)
+let test_observed_allocation_budget () =
+  let w = Option.get (Registry.find "intruder") in
+  let htm_policy =
+    Result.get_ok (Stx_policy.of_label "requester-wins+unbounded+htm-stm-lock")
+  in
+  let cfg = Stx_machine.Config.with_cores 8 Stx_machine.Config.default in
+  List.iter
+    (fun mode ->
+      let spec = Workload.spec ~instrument:(Mode.uses_alps mode) ~scale:0.1 w in
+      let m0 = Gc.minor_words () in
+      let o = Observed.run ~seed:3 ~htm_policy ~cfg ~mode spec in
+      let words = Gc.minor_words () -. m0 in
+      let insts = o.Observed.stats.Stx_sim.Stats.insts in
+      Alcotest.(check (list string)) "checks hold" [] o.Observed.errors;
+      Alcotest.(check bool) "instructions simulated" true (insts > 0);
+      let per_inst = words /. float_of_int insts in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f minor words/instruction under the %.0f budget"
+           (Mode.to_string mode) per_inst Bench.minor_words_budget)
+        true
+        (per_inst < Bench.minor_words_budget))
+    [ Mode.Baseline; Mode.Staggered_hw ]
+
 (* --- bench columns ------------------------------------------------------
    A column that reads 0 in every cell measures nothing: each numeric
    column of the bench row must be non-zero somewhere in a small matrix
@@ -283,6 +310,8 @@ let suite =
       test_bench_columns_nonzero;
     Alcotest.test_case "allocation budget per simulated event" `Slow
       test_allocation_budget;
+    Alcotest.test_case "observed runs stay under the allocation budget" `Quick
+      test_observed_allocation_budget;
     Alcotest.test_case "sequential speedup is 1" `Quick
       test_exp_speedup_of_sequential_is_one;
     Alcotest.test_case "baseline relative performance is 1" `Quick

@@ -307,6 +307,155 @@ let test_registry_codec_rejects_corruption () =
   reject "inconsistent hist"
     [ "hist stx_lat - 99 11 0 6 2 0 1 0 3 2 6" ]
 
+(* --- resolved handles ---------------------------------------------------- *)
+
+let test_handle_unwritten_adds_nothing () =
+  let r = sample_registry () in
+  let before = Registry.to_json_string r in
+  ignore (Registry.counter r "stx_unwritten" [ ("k", "v") ]);
+  ignore (Registry.hist r "stx_lat" [ ("outcome", "abort") ]);
+  Alcotest.(check int) "cardinality" 3 (Registry.cardinality r);
+  Alcotest.(check string) "snapshot unchanged" before (Registry.to_json_string r)
+
+let test_handle_type_clash_on_first_write () =
+  let r = Registry.create () in
+  Registry.inc r "m" [];
+  (* resolving checks the key only; the kind is checked when writing *)
+  let h = Registry.hist r "m" [] in
+  Alcotest.check_raises "handle written at another type"
+    (Invalid_argument "Registry: m is a counter, used as a histogram")
+    (fun () -> Registry.record h 1);
+  Registry.add (Registry.counter r "n" []) 1;
+  Alcotest.check_raises "string-keyed write at another type"
+    (Invalid_argument "Registry: n is a counter, used as a histogram")
+    (fun () -> Registry.observe r "n" [] 1);
+  Alcotest.(check int) "no cell was added or replaced" 2 (Registry.cardinality r)
+
+let test_handle_and_string_key_share_a_cell () =
+  let r = Registry.create () in
+  let c = Registry.counter r "m" [ ("b", "2"); ("a", "1") ] in
+  let h = Registry.hist r "h" [ ("k", "v") ] in
+  (* the string-keyed writes come first, so the handles bind to cells
+     that already exist *)
+  Registry.inc r "m" [ ("a", "1"); ("b", "2") ];
+  Registry.observe r "h" [ ("k", "v") ] 4;
+  Registry.add c 2;
+  Registry.record h 9;
+  Registry.inc r ~by:3 "m" [ ("b", "2"); ("a", "1") ];
+  Alcotest.(check int) "two cells" 2 (Registry.cardinality r);
+  Alcotest.(check int) "every increment in one counter" 6
+    (Registry.counter_value r "m" [ ("a", "1"); ("b", "2") ]);
+  match Registry.histogram r "h" [ ("k", "v") ] with
+  | Some x ->
+    Alcotest.(check int) "both observations" 2 (Hist.count x);
+    Alcotest.(check int) "sum" 13 (Hist.sum x)
+  | None -> Alcotest.fail "histogram missing"
+
+(* A hand-built stream with every event kind: hardware commits with and
+   without a lock, every abort kind (one inside a wait episode), a lock
+   timeout, backoff, an irrevocable commit, software commits and every
+   software abort kind, requests, commits with no begin, and atomic
+   blocks up to 40 (plus one negative id) so the per-block phase handles
+   must grow. *)
+let every_event_stream () =
+  let module M = Stx_sim.Machine in
+  let abort ~tid ~ab ~kind ~cycles =
+    M.Tx_abort
+      {
+        tid; ab; kind; conf_line = Some 70; conf_pc = Some 3; aggressor = Some 0;
+        cycles; rset = 3; wset = 1; probe = false;
+      }
+  in
+  let commit ~tid ~ab ~cycles ~irrevocable =
+    M.Tx_commit
+      { tid; ab; cycles; irrevocable; rset = 4; wset = 2; probe = false }
+  in
+  let begin_ ~tid ~ab ~attempt = M.Tx_begin { tid; ab; attempt; probe = false } in
+  let stm_abort ~ab ~kind ~cycles ~vcycles =
+    M.Stm_abort { tid = 2; ab; kind; cycles; vcycles; rset = 2; wset = 0 }
+  in
+  [
+    (0, begin_ ~tid:0 ~ab:0 ~attempt:0);
+    (0, begin_ ~tid:1 ~ab:3 ~attempt:0);
+    (0, M.Stm_begin { tid = 2; ab = 17; attempt = 0 });
+    (0, M.Backoff_start { tid = 3 });
+    (3, M.Backoff_end { tid = 3 });
+    (4, M.Alp_executed { tid = 1; ab = 3; site = 2; fired = false });
+    (4, M.Lock_attempt { tid = 1; lock = 9; line = 90 });
+    (4, M.Lock_waiting { tid = 1; lock = 9 });
+    (5, M.Alp_executed { tid = 0; ab = 0; site = 1; fired = true });
+    (5, M.Lock_attempt { tid = 0; lock = 7; line = 70 });
+    (5, M.Lock_waiting { tid = 0; lock = 7 });
+    (5, M.Req_dispatch { tid = 3; req = 0; ab = 40 });
+    (9, commit ~tid:3 ~ab:40 ~cycles:4 ~irrevocable:false);
+    (9, M.Req_done { tid = 3; req = 0; ab = 40 });
+    (10, M.Lock_timeout { tid = 1; lock = 9 });
+    (10, stm_abort ~ab:17 ~kind:M.Stm_validation ~cycles:10 ~vcycles:3);
+    (10, M.Stm_begin { tid = 2; ab = 17; attempt = 1 });
+    (11, M.Stm_commit { tid = 3; ab = 40; cycles = 2; vcycles = 1; rset = 1; wset = 1 });
+    (12, M.Lock_acquired { tid = 0; lock = 7; line = 70 });
+    (12, M.Stm_commit { tid = 3; ab = -1; cycles = 1; vcycles = 0; rset = 0; wset = 0 });
+    (15, stm_abort ~ab:17 ~kind:M.Stm_hw_owned ~cycles:5 ~vcycles:0);
+    (15, M.Stm_begin { tid = 2; ab = 17; attempt = 2 });
+    (20, abort ~tid:1 ~ab:3 ~kind:M.Conflict ~cycles:20);
+    (20, M.Backoff_start { tid = 1 });
+    (20, stm_abort ~ab:17 ~kind:M.Stm_locksub ~cycles:5 ~vcycles:1);
+    (20, M.Stm_begin { tid = 2; ab = 17; attempt = 3 });
+    (22, stm_abort ~ab:17 ~kind:M.Stm_explicit ~cycles:2 ~vcycles:0);
+    (22, M.Stm_begin { tid = 2; ab = 17; attempt = 4 });
+    (26, M.Backoff_end { tid = 1 });
+    (26, begin_ ~tid:1 ~ab:3 ~attempt:1);
+    (28, M.Lock_attempt { tid = 1; lock = 9; line = 90 });
+    (28, M.Lock_waiting { tid = 1; lock = 9 });
+    (30, M.Lock_released { tid = 0; lock = 7; committed = true });
+    (30, commit ~tid:0 ~ab:0 ~cycles:30 ~irrevocable:false);
+    (35, abort ~tid:1 ~ab:3 ~kind:M.Lock_subscription ~cycles:9);
+    (35, begin_ ~tid:1 ~ab:3 ~attempt:2);
+    (40, abort ~tid:1 ~ab:3 ~kind:M.Capacity ~cycles:5);
+    (40, M.Stm_commit { tid = 2; ab = 17; cycles = 18; vcycles = 4; rset = 5; wset = 3 });
+    (40, begin_ ~tid:1 ~ab:3 ~attempt:3);
+    (41, abort ~tid:1 ~ab:3 ~kind:M.Explicit ~cycles:1);
+    (41, begin_ ~tid:1 ~ab:3 ~attempt:4);
+    (45, abort ~tid:1 ~ab:3 ~kind:M.Stm_conflict ~cycles:4);
+    (45, M.Tx_irrevocable { tid = 1; ab = 3 });
+    (45, begin_ ~tid:1 ~ab:3 ~attempt:5);
+    (60, commit ~tid:1 ~ab:3 ~cycles:15 ~irrevocable:true);
+  ]
+
+(* recorded from the string-keyed collector (one [Registry.inc] or
+   [Registry.observe] per write, labels appended and sorted per event)
+   on the same stream: the handle-based collector must write the same
+   bytes *)
+let every_event_encode_digest = "87c5d8a27af9666177defd29373648da"
+
+let test_handles_match_string_keyed_bytes () =
+  let tr = Stx_trace.Trace.create ~threads:4 () in
+  List.iter
+    (fun (time, ev) -> Stx_trace.Trace.handler tr ~time ev)
+    (every_event_stream ());
+  let htm_policy =
+    Result.get_ok (Stx_policy.of_label "requester-wins+unbounded+htm-stm-lock")
+  in
+  let lines = Registry.encode (Collect.of_trace ~policy:htm_policy tr) in
+  let has prefix =
+    List.exists
+      (fun l ->
+        String.length l >= String.length prefix
+        && String.sub l 0 (String.length prefix) = prefix)
+      lines
+  in
+  List.iter
+    (fun p -> Alcotest.(check bool) ("series " ^ p) true (has p))
+    [
+      "counter stx_phase_cycles ab=40,phase=prefix,";
+      "counter stx_phase_cycles ab=-1,phase=stm,";
+      "counter stx_stm_aborts kind=stm_explicit,";
+      "hist stx_lock_wait_cycles outcome=aborted,";
+    ];
+  Alcotest.(check int) "series" 46 (List.length lines);
+  Alcotest.(check string) "encode digest" every_event_encode_digest
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
 (* --- online vs trace replay, every workload x mode --------------------- *)
 
 (* same tiny-but-contended configuration as test_trace.ml *)
@@ -709,6 +858,14 @@ let suite =
       test_registry_codec_round_trip;
     Alcotest.test_case "store codec rejects corruption" `Quick
       test_registry_codec_rejects_corruption;
+    Alcotest.test_case "unwritten handle adds no series" `Quick
+      test_handle_unwritten_adds_nothing;
+    Alcotest.test_case "handle type clash on first write" `Quick
+      test_handle_type_clash_on_first_write;
+    Alcotest.test_case "handle and string key share a cell" `Quick
+      test_handle_and_string_key_share_a_cell;
+    Alcotest.test_case "handles write the string-keyed bytes" `Quick
+      test_handles_match_string_keyed_bytes;
     Alcotest.test_case "online = trace replay (all workloads x modes)" `Slow
       test_online_equals_replay;
     Alcotest.test_case "registry reconciles with stats everywhere" `Slow

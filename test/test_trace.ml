@@ -89,6 +89,18 @@ let test_ring_bounds_and_refuses () =
     Alcotest.(check bool) "mentions dropped events" true (contains e "dropped")
   | Error [] -> Alcotest.fail "empty error list"
 
+(* the ring keeps the newest events in emission order: a capacity-128
+   capture holds exactly the tail of a full capture of the same run *)
+let test_ring_keeps_the_tail_in_order () =
+  let w = Option.get (Registry.find "list-hi") in
+  let full, _ = run_traced ~mode:Mode.Staggered_hw w in
+  let ring, _ = run_traced ~capacity:128 ~mode:Mode.Staggered_hw w in
+  let all = Trace.events full in
+  let skip = List.length all - 128 in
+  Alcotest.(check int) "dropped = the rest" skip (Trace.dropped ring);
+  Alcotest.(check bool) "the last 128 events, oldest first" true
+    (Trace.events ring = List.filteri (fun i _ -> i >= skip) all)
+
 let test_attribution_accounts_every_conflict () =
   let w = Option.get (Registry.find "memcached") in
   let tr, stats = run_traced ~mode:Mode.Baseline w in
@@ -595,6 +607,8 @@ let suite =
       test_check_detects_corruption;
     Alcotest.test_case "ring mode bounds memory, refuses to check" `Quick
       test_ring_bounds_and_refuses;
+    Alcotest.test_case "ring keeps the tail in emission order" `Quick
+      test_ring_keeps_the_tail_in_order;
     Alcotest.test_case "attribution accounts every conflict" `Quick
       test_attribution_accounts_every_conflict;
     Alcotest.test_case "chrome JSON round trip" `Quick test_chrome_roundtrip;
